@@ -287,12 +287,10 @@ def _parse_statement(obj: object, index: int) -> Statement:
     effect_raw = obj["Effect"]
     if effect_raw not in (Effect.ALLOW.value, Effect.DENY.value):
         raise PolicyParseError(f"{where}: invalid Effect {effect_raw!r}")
+    action_texts = _string_or_list(obj["Action"], "Action", where)
+    resource_texts = _string_or_list(obj["Resource"], "Resource", where)
     try:
-        actions = tuple(
-            ActionPattern.parse(a)
-            for a in _string_or_list(obj["Action"], "Action", where)
-        )
-        resource_texts = _string_or_list(obj["Resource"], "Resource", where)
+        actions = tuple(ActionPattern.parse(a) for a in action_texts)
         resources_ = tuple(ResourcePattern(r) for r in resource_texts)
     except PolicyParseError as exc:
         raise PolicyParseError(f"{where}: {exc}") from exc

@@ -57,6 +57,15 @@ class TestValidate:
         assert out == ""
         assert "ghost-group" in err and "ghost-set" in err
 
+    def test_string_groups_exit_two_naming_the_field(self, run, demo_scenario_path, tmp_path):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        scenario["users"][0]["groups"] = "abc"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run("--scenario", str(path), "validate")
+        assert (code, out) == (2, "")
+        assert err == "users[0].groups: expected a list\n"
+
     def test_missing_file_is_io_failure(self, run, tmp_path):
         code, _, err = run("--scenario", str(tmp_path / "nope.json"), "validate")
         assert code == 3 and err

@@ -1,9 +1,12 @@
 """Organization building, validation, tree queries and policy resolution."""
 
 import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iamsim import (
     ScenarioError,
@@ -16,9 +19,11 @@ from iamsim import (
     shares_covering,
     validate_org,
 )
-from iamsim.org import Assignment
+from iamsim.org import Assignment, ResourceShare, resolve_permission_set_ids
+from iamsim.policy import parse_policy
+from iamsim.usage import install_sole_permission_set
 
-from generators import random_scenario
+from generators import REQUEST_RESOURCES, random_org, random_scenario
 
 
 def minimal_scenario():
@@ -124,6 +129,26 @@ class TestBuild:
             "shared_with": ["500000000001"],
         })
         with pytest.raises(ScenarioError, match="owner"):
+            build_org(scenario)
+
+    @pytest.mark.parametrize("section, field, value, expected", [
+        ("users", "groups", "abc", "a list"),
+        ("shares", "shared_with", "abc", "a list"),
+        ("users", "groups", ["red-frontend", 5], "a list of strings"),
+        ("shares", "shared_with", [None], "a list of strings"),
+    ])
+    def test_string_list_fields_are_typed(self, demo_scenario_path, section, field, value,
+                                          expected):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        scenario[section][0][field] = value
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{section}[0].{field}: expected {expected}"]
+
+    def test_string_accounts_rejected(self):
+        scenario = minimal_scenario()
+        scenario["organization"]["root"]["accounts"] = "000000000042"
+        with pytest.raises(ScenarioError, match=r"organization\.root\.accounts: expected a list"):
             build_org(scenario)
 
 
@@ -273,6 +298,68 @@ class TestResolve:
             org = build_org(random_scenario(rng))
             ids = accounts_in_subtree(org, "")
             assert len(ids) == len(set(ids))
+
+
+class TestIndexedLookups:
+    """Resolution and share lookups read per-org indices; a naive scan of
+    the org's tuples is the reference."""
+
+    @staticmethod
+    def naive_permission_set_ids(org, user_id, account_id):
+        member_of = set(org.user(user_id).groups)
+        return tuple(sorted({
+            a.permission_set for a in org.assignments
+            if a.account == account_id and (
+                (a.subject_kind == "user" and a.subject == user_id)
+                or (a.subject_kind == "group" and a.subject in member_of))
+        }))
+
+    @staticmethod
+    def naive_shares_covering(org, arn, account_id):
+        return any(s.resource == arn and account_id in s.shared_with for s in org.shares)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_indices_agree_with_naive_scan(self, seed):
+        org = random_org(random.Random(seed), n_accounts=4, n_users=5, n_groups=3)
+        for account in org.accounts:
+            for user in org.users:
+                assert resolve_permission_set_ids(org, user.id, account.id) == \
+                    self.naive_permission_set_ids(org, user.id, account.id)
+            for arn in REQUEST_RESOURCES:
+                assert shares_covering(org, arn, account.id) == \
+                    self.naive_shares_covering(org, arn, account.id)
+
+    def test_sole_permission_set_org_gets_its_own_index(self):
+        document = parse_policy(
+            '{"Version":"2012-10-17","Statement":'
+            '[{"Effect":"Allow","Action":"s3:GetObject","Resource":"*"}]}'
+        )
+        rng = random.Random(7)
+        for _ in range(20):
+            org = random_org(rng)
+            user, account = rng.choice(org.users).id, rng.choice(org.accounts).id
+            before = resolve_permission_set_ids(org, user, account)  # builds org's index
+            replay = install_sole_permission_set(org, user, account, document)
+            assert resolve_permission_set_ids(replay, user, account) == ("generated-replay",)
+            assert resolve_permission_set_ids(org, user, account) == before
+            for other in replay.users:
+                assert resolve_permission_set_ids(replay, other.id, account) == \
+                    self.naive_permission_set_ids(replay, other.id, account)
+
+    def test_provisioned_account_gets_its_own_index(self, demo_org):
+        zone = "arn:aws:route53:::hostedzone/ZRED42"
+        assert shares_covering(demo_org, zone, "200000000001")  # builds demo_org's indices
+        grown = provision_account(demo_org, "red-scratch", "Team Red")
+        fresh = next(a.id for a in grown.accounts if a.name == "red-scratch")
+        assert resolve_permission_set_ids(grown, "dana", fresh) == ()
+        extra = Assignment("user", "dana", fresh, "frontend")
+        granted = dataclasses.replace(grown, assignments=grown.assignments + (extra,))
+        assert resolve_permission_set_ids(granted, "dana", fresh) == ("frontend",)
+        assert resolve_permission_set_ids(grown, "dana", fresh) == ()
+        shared = dataclasses.replace(
+            granted, shares=granted.shares + (ResourceShare(zone, (fresh,)),))
+        assert shares_covering(shared, zone, fresh)
+        assert not shares_covering(granted, zone, fresh)
 
 
 class TestResourcesAndShares:

@@ -74,6 +74,17 @@ class TestParse:
         with pytest.raises(PolicyParseError, match="version"):
             parse_policy('{"Version":"2012-10-18","Statement":[]}')
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("Action", 5, "statement 0: Action must be a string or list of strings"),
+        ("Resource", [], "statement 0: Resource list is empty"),
+        ("Action", "s3", "statement 0: invalid action pattern 's3': expected 'service:operation'"),
+    ])
+    def test_statement_errors_are_prefixed_once(self, field, value, message):
+        stmt = {"Effect": "Allow", "Action": "s3:GetObject", "Resource": "*", field: value}
+        with pytest.raises(PolicyParseError) as err:
+            parse_policy(json.dumps({"Version": "2012-10-17", "Statement": [stmt]}))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("mutate", [
         lambda s: s.update(Sid="x"),
         lambda s: s.update(NotAction="s3:*"),
