@@ -6,27 +6,38 @@ time-ordered log; archives from many accounts merge into one, keeping a
 stable order of (time, source account, position in file) so analysis runs
 are reproducible byte for byte.
 
-On disk a log is UTF-8 JSON Lines, one event per line with the fields
-time, kind, user, account, action, resource, verdict, source. Timestamps
-are UTC RFC 3339 at second precision (``2024-01-01T00:00:00Z``).
+On disk a log is UTF-8 JSON Lines, one event per line with exactly the
+fields time, kind, user, account, action, resource, verdict, source, every
+one a JSON string. Timestamps are strict: exactly ``YYYY-MM-DDTHH:MM:SSZ``
+in UTC with ASCII digits (``2024-01-01T00:00:00Z``); single-digit fields,
+offsets, fractions and other digit scripts are rejected, never coerced.
+:func:`read_archive` decodes every line through :func:`event_from_obj` and
+:func:`write_archive` encodes every event through :func:`event_to_line`,
+replacing the target file atomically.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
+import operator
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
+from .atomic import replacing
 from .policy import Verdict, _OPERATION_RE, _SERVICE_RE, split_action
 
-_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 _EVENT_KEYS = frozenset(
     {"time", "kind", "user", "account", "action", "resource", "verdict", "source"}
 )
+_STRING_FIELDS = ("user", "account", "action", "resource", "source")
 
 
 class EventError(ValueError):
@@ -38,23 +49,40 @@ class EventKind(str, Enum):
     API_CALL = "ApiCall"
 
 
+_KINDS = {k.value: k for k in EventKind}
+_VERDICTS = {v.value: v for v in Verdict}
+
+
 def parse_timestamp(text: str) -> datetime:
-    """Parse the canonical UTC second-precision form, rejecting others."""
-    try:
-        return datetime.strptime(text, _TIME_FORMAT).replace(tzinfo=timezone.utc)
-    except (TypeError, ValueError) as exc:
-        raise EventError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:MM:SSZ") from exc
+    """Parse exactly ``YYYY-MM-DDTHH:MM:SSZ`` with ASCII digits, rejecting
+    every other form and every impossible date or time."""
+    if isinstance(text, str) and _TIMESTAMP_RE.fullmatch(text):
+        # the shape is fixed, so fromisoformat only checks the field ranges
+        try:
+            return datetime.fromisoformat(text[:19] + "+00:00")
+        except ValueError:
+            pass
+    raise EventError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:MM:SSZ")
 
 
 def format_timestamp(when: datetime) -> str:
-    return when.astimezone(timezone.utc).strftime(_TIME_FORMAT)
+    """The canonical form of ``when`` in UTC; the year is padded to 4 digits."""
+    t = when.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        t.year, t.month, t.day, t.hour, t.minute, t.second,
+    )
+
+
+# events repeat a small set of actions, so each distinct one is split once
+_split_concrete_action = functools.lru_cache(maxsize=4096)(split_action)
 
 
 @dataclass(frozen=True)
 class AuditEvent:
     """One recorded activity. API calls carry a concrete action and resource;
     logins carry neither. ``source`` is the account whose log produced the
-    event (equal to ``account`` for self-produced events)."""
+    event (equal to ``account`` for self-produced events). Every text field
+    must be a ``str``."""
 
     time: datetime
     kind: EventKind
@@ -66,8 +94,16 @@ class AuditEvent:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.time.tzinfo is None:
-            raise EventError("event time must be timezone-aware UTC")
+        # one chained test per event on the read path; the loop only names the field
+        if not (isinstance(self.user, str) and isinstance(self.account, str)
+                and isinstance(self.action, str) and isinstance(self.resource, str)
+                and isinstance(self.source, str)):
+            for name in _STRING_FIELDS:
+                value = getattr(self, name)
+                if not isinstance(value, str):
+                    raise EventError(_not_a_string(name, value))
+        if not isinstance(self.time, datetime) or self.time.tzinfo is None:
+            raise EventError("event time must be a timezone-aware UTC datetime")
         if not isinstance(self.kind, EventKind):
             raise EventError(f"bad event kind {self.kind!r}")
         if not isinstance(self.verdict, Verdict):
@@ -76,7 +112,7 @@ class AuditEvent:
             if not self.action or not self.resource:
                 raise EventError("ApiCall events need a non-empty action and resource")
             try:
-                split_action(self.action)
+                _split_concrete_action(self.action)
             except ValueError as exc:
                 raise EventError(str(exc)) from exc
             if "*" in self.resource:
@@ -88,6 +124,10 @@ class AuditEvent:
             raise EventError("events need a user and an account")
         if not self.source:
             object.__setattr__(self, "source", self.account)
+
+
+def _not_a_string(name: str, value: object) -> str:
+    return f"event field {name!r} must be a string, not {type(value).__name__}"
 
 
 def event_to_obj(event: AuditEvent) -> dict:
@@ -103,37 +143,55 @@ def event_to_obj(event: AuditEvent) -> dict:
     }
 
 
+_KIND_JSON = {k: _json_str(k.value) for k in EventKind}
+_VERDICT_JSON = {v: _json_str(v.value) for v in Verdict}
+
+
+def event_to_line(event: AuditEvent) -> str:
+    """One JSON Lines record, byte-identical to
+    ``json.dumps(event_to_obj(event), separators=(",", ":")) + "\\n"``."""
+    return (
+        f'{{"time":"{format_timestamp(event.time)}","kind":{_KIND_JSON[event.kind]}'
+        f',"user":{_json_str(event.user)},"account":{_json_str(event.account)}'
+        f',"action":{_json_str(event.action)},"resource":{_json_str(event.resource)}'
+        f',"verdict":{_VERDICT_JSON[event.verdict]},"source":{_json_str(event.source)}}}\n'
+    )
+
+
 def event_from_obj(obj: object) -> AuditEvent:
+    """The event a decoded log line describes; every field is checked."""
     if not isinstance(obj, dict):
         raise EventError("event must be a JSON object")
-    unknown = sorted(set(obj) - _EVENT_KEYS)
-    if unknown:
-        raise EventError(f"unknown event field(s) {', '.join(unknown)}")
-    missing = sorted(_EVENT_KEYS - set(obj))
-    if missing:
+    if obj.keys() != _EVENT_KEYS:
+        unknown = sorted(obj.keys() - _EVENT_KEYS)
+        if unknown:
+            raise EventError(f"unknown event field(s) {', '.join(unknown)}")
+        missing = sorted(_EVENT_KEYS - obj.keys())
         raise EventError(f"missing event field(s) {', '.join(missing)}")
-    try:
-        kind = EventKind(obj["kind"])
-    except ValueError:
-        raise EventError(f"bad event kind {obj['kind']!r}") from None
-    try:
-        verdict = Verdict(obj["verdict"])
-    except ValueError:
-        raise EventError(f"bad verdict {obj['verdict']!r}") from None
+    time, kind, verdict = obj["time"], obj["kind"], obj["verdict"]
+    if not (isinstance(time, str) and isinstance(kind, str) and isinstance(verdict, str)):
+        name = next(n for n in ("time", "kind", "verdict") if not isinstance(obj[n], str))
+        raise EventError(_not_a_string(name, obj[name]))
+    event_kind = _KINDS.get(kind)
+    if event_kind is None:
+        raise EventError(f"bad event kind {kind!r}")
+    event_verdict = _VERDICTS.get(verdict)
+    if event_verdict is None:
+        raise EventError(f"bad verdict {verdict!r}")
     return AuditEvent(
-        time=parse_timestamp(obj["time"]),
-        kind=kind,
+        time=parse_timestamp(time),
+        kind=event_kind,
         user=obj["user"],
         account=obj["account"],
         action=obj["action"],
         resource=obj["resource"],
-        verdict=verdict,
+        verdict=event_verdict,
         source=obj["source"],
     )
 
 
-def _order_key(event: AuditEvent) -> tuple[datetime, str]:
-    return (event.time, event.source)
+# (time, source) of an event
+_order_key = operator.attrgetter("time", "source")
 
 
 @dataclass(frozen=True)
@@ -173,20 +231,37 @@ def merge_archives(archives: Sequence[LogArchive]) -> LogArchive:
 
 
 def write_archive(archive: LogArchive, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in archive.events:
-            fh.write(json.dumps(event_to_obj(event), separators=(",", ":")) + "\n")
+    """Write one line per event; ``path`` is replaced only once every line
+    is written, so a failed write leaves any earlier file as it was."""
+    with replacing(path) as (temp,):
+        with open(temp, "w", encoding="utf-8") as fh:
+            fh.writelines(map(event_to_line, archive.events))
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> object:
+    """``json.loads(line)``, skipping its wrapper in the common case; any
+    line the fast path does not take whole goes to ``json.loads`` for the
+    same result or error."""
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    if line[end:].strip():
+        return json.loads(line)
+    return obj
 
 
 def read_archive(path) -> LogArchive:
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-                events.append(event_from_obj(obj))
+                events.append(event_from_obj(_decode_line(line)))
             except (json.JSONDecodeError, EventError) as exc:
                 raise EventError(f"{path}:{lineno}: {exc}") from exc
     return archive_from_events(events)

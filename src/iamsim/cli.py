@@ -4,9 +4,10 @@ Thin adapter over the library: loads a scenario, runs one subcommand
 (validate, authorize, simulate, analyze, audit) and prints data on stdout
 with diagnostics on stderr. Exit codes are scriptable: 0 success (or
 Allow), 1 Deny from ``authorize``, 2 invalid input or request, 3 I/O
-failure. Output is buffered and written only on success, so a failing run
-never leaves partial data; identical inputs and seed produce byte-identical
-output.
+failure. Output is buffered and written only on success; output files are
+staged beside their targets and renamed into place once all are written. So
+a failing run never leaves partial data. Identical inputs and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .audit import (
     QueryFilter,
     archive_from_events,
     denied_access_summary,
-    event_to_obj,
+    event_to_line,
     format_timestamp,
     merge_archives,
     parse_timestamp,
@@ -33,6 +34,7 @@ from .audit import (
     read_archive,
     write_archive,
 )
+from .atomic import replacing
 from .engine import AccessRequest, RequestError, authorize, decision_to_obj, render_trace, simulate
 from .org import Organization, ScenarioError, load_scenario
 from .policy import PolicyParseError, Verdict, VerbTable, serialize_policy
@@ -177,7 +179,7 @@ def cmd_authorize(config: RunConfig, args: argparse.Namespace) -> tuple[int, str
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
     org = _load_org(config)
-    # refuse up front rather than leave one of two output files behind
+    # a missing directory is invalid input (exit 2), refused before any work
     for path in (args.out, args.emit_log):
         if path and not Path(path).resolve().parent.is_dir():
             raise CliError(f"output directory does not exist: {Path(path).parent}")
@@ -188,12 +190,14 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]
         _dumps(decision_to_obj(d, include_trace=args.trace)) for d in decisions
     ]
     body = "".join(line + "\n" for line in lines)
-    if args.emit_log:
-        write_archive(archive_from_events(events), args.emit_log)
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-        return EXIT_OK, ""
-    return EXIT_OK, body
+    # both files are staged and only then renamed into place, so a failing
+    # run leaves neither behind
+    with replacing(args.emit_log or None, args.out or None) as (log_temp, out_temp):
+        if log_temp:
+            write_archive(archive_from_events(events), log_temp)
+        if out_temp:
+            out_temp.write_text(body, encoding="utf-8")
+    return EXIT_OK, "" if args.out else body
 
 
 def cmd_analyze_unused(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
@@ -263,7 +267,7 @@ def cmd_audit_query(config: RunConfig, args: argparse.Namespace) -> tuple[int, s
     )
     events = query(archive, flt)
     if config.fmt == "json":
-        return EXIT_OK, "".join(_dumps(event_to_obj(e)) + "\n" for e in events)
+        return EXIT_OK, "".join(map(event_to_line, events))
     lines = [
         f"{format_timestamp(e.time)} {e.kind.value} user={e.user} account={e.account} "
         f"action={e.action or '-'} resource={e.resource or '-'} "

@@ -228,11 +228,21 @@ def _list_field(obj: Mapping, key: str, where: str, of_strings: bool = False) ->
     return value
 
 
+def _str_field(obj: Mapping, key: str, where: str, default: str | None = None) -> str:
+    """The string at ``obj[key]`` (``default`` when absent, if given); a
+    number, list or other non-string value is rejected."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise ScenarioError([f"{where}.{key}: expected a string"])
+    return value
+
+
 def _parse_account(obj: object, where: str) -> Account:
     if isinstance(obj, str):
         return Account(id=obj, name=obj)
     _require_keys(obj, {"id", "name"}, {"id"}, where)
-    return Account(id=obj["id"], name=obj.get("name", obj["id"]))
+    account_id = _str_field(obj, "id", where)
+    return Account(id=account_id, name=_str_field(obj, "name", where, account_id))
 
 
 def _parse_ou(obj: Mapping, where: str) -> OrgUnit:
@@ -245,7 +255,7 @@ def _parse_ou(obj: Mapping, where: str) -> OrgUnit:
         _parse_ou(c, f"{where}.children[{i}]")
         for i, c in enumerate(_list_field(obj, "children", where))
     )
-    return OrgUnit(name=obj["name"], accounts=accounts, children=children)
+    return OrgUnit(name=_str_field(obj, "name", where), accounts=accounts, children=children)
 
 
 def _parse_embedded_policy(obj: object, name: str, where: str) -> PolicyDocument:
@@ -285,15 +295,16 @@ def build_org(scenario: Mapping) -> Organization:
     for i, u in enumerate(_list_field(scenario, "users", "scenario")):
         _require_keys(u, {"id", "display_name", "groups"}, {"id"}, f"users[{i}]")
         users.append(SsoUser(
-            id=u["id"],
-            display_name=u.get("display_name", ""),
+            id=_str_field(u, "id", f"users[{i}]"),
+            display_name=_str_field(u, "display_name", f"users[{i}]", ""),
             groups=tuple(_list_field(u, "groups", f"users[{i}]", of_strings=True)),
         ))
 
     groups = []
     for i, g in enumerate(_list_field(scenario, "groups", "scenario")):
         _require_keys(g, {"id", "display_name"}, {"id"}, f"groups[{i}]")
-        groups.append(SsoGroup(id=g["id"], display_name=g.get("display_name", "")))
+        groups.append(SsoGroup(id=_str_field(g, "id", f"groups[{i}]"),
+                               display_name=_str_field(g, "display_name", f"groups[{i}]", "")))
 
     permission_sets = []
     for i, p in enumerate(_list_field(scenario, "permission_sets", "scenario")):
@@ -302,8 +313,10 @@ def build_org(scenario: Mapping) -> Organization:
         for j, pol in enumerate(_list_field(p, "policies", f"permission_sets[{i}]")):
             where = f"permission_sets[{i}].policies[{j}]"
             _require_keys(pol, {"name", "document"}, {"name", "document"}, where)
-            policies.append(_parse_embedded_policy(pol["document"], pol["name"], where))
-        permission_sets.append(PermissionSet(id=p["id"], policies=tuple(policies)))
+            policies.append(_parse_embedded_policy(
+                pol["document"], _str_field(pol, "name", where), where))
+        permission_sets.append(PermissionSet(id=_str_field(p, "id", f"permission_sets[{i}]"),
+                                             policies=tuple(policies)))
 
     assignments = []
     for i, a in enumerate(_list_field(scenario, "assignments", "scenario")):
@@ -315,9 +328,9 @@ def build_org(scenario: Mapping) -> Organization:
         kind = "user" if "user" in a else "group"
         assignments.append(Assignment(
             subject_kind=kind,
-            subject=a[kind],
-            account=a["account"],
-            permission_set=a["permission_set"],
+            subject=_str_field(a, kind, where),
+            account=_str_field(a, "account", where),
+            permission_set=_str_field(a, "permission_set", where),
         ))
 
     resources = []
@@ -325,13 +338,12 @@ def build_org(scenario: Mapping) -> Organization:
         where = f"resources[{i}]"
         _require_keys(r, {"arn", "owner_account", "resource_policy"},
                       {"arn", "owner_account"}, where)
+        arn = _str_field(r, "arn", where)
         policy = None
         if r.get("resource_policy") is not None:
-            policy = _parse_embedded_policy(
-                r["resource_policy"], f"resource-policy:{r['arn']}", where
-            )
+            policy = _parse_embedded_policy(r["resource_policy"], f"resource-policy:{arn}", where)
         resources.append(Resource(
-            arn=r["arn"], owner_account=r["owner_account"], resource_policy=policy,
+            arn=arn, owner_account=_str_field(r, "owner_account", where), resource_policy=policy,
         ))
 
     shares = []
@@ -339,11 +351,12 @@ def build_org(scenario: Mapping) -> Organization:
         where = f"shares[{i}]"
         _require_keys(s, {"resource", "shared_with"}, {"resource", "shared_with"}, where)
         shared_with = _list_field(s, "shared_with", where, of_strings=True)
-        shares.append(ResourceShare(resource=s["resource"], shared_with=tuple(shared_with)))
+        shares.append(ResourceShare(resource=_str_field(s, "resource", where),
+                                    shared_with=tuple(shared_with)))
 
     org = Organization(
         root=root,
-        management_account=org_obj["management_account"],
+        management_account=_str_field(org_obj, "management_account", "scenario.organization"),
         users=tuple(sorted(users, key=lambda u: u.id)),
         groups=tuple(sorted(groups, key=lambda g: g.id)),
         permission_sets=tuple(sorted(permission_sets, key=lambda p: p.id)),

@@ -1,9 +1,13 @@
 """Audit events, archive ordering, merging, queries and summaries."""
 
+import json
+import os
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iamsim import (
     AuditEvent,
@@ -20,7 +24,14 @@ from iamsim import (
     read_archive,
     write_archive,
 )
-from iamsim.audit import event_from_obj, event_to_obj, format_timestamp, parse_timestamp
+from iamsim import audit
+from iamsim.audit import (
+    event_from_obj,
+    event_to_line,
+    event_to_obj,
+    format_timestamp,
+    parse_timestamp,
+)
 
 from conftest import utc
 
@@ -50,6 +61,13 @@ def random_archive(rng: random.Random, n: int) -> LogArchive:
     return archive_from_events(make_event(rng) for _ in range(n))
 
 
+# every aware UTC datetime from year 1 to 9999, at second precision
+utc_seconds = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(timezone.utc),
+).map(lambda when: when.replace(microsecond=0))
+
+
 class TestEvents:
     def test_login_event_valid(self):
         event = AuditEvent(time=utc(2024, 1, 1), kind=EventKind.LOGIN,
@@ -74,9 +92,43 @@ class TestEvents:
 
     def test_timestamp_rejects_non_canonical(self):
         for bad in ("2024-01-01 00:00:00", "2024-01-01T00:00:00+00:00",
-                    "2024-01-01T00:00:00.5Z", "not-a-time"):
+                    "2024-01-01T00:00:00.5Z", "not-a-time",
+                    # single-digit fields, which strptime would take and widen
+                    "2024-1-1T0:0:0Z", "2024-1-01T00:00:00Z", "2024-01-1T00:00:00Z",
+                    "2024-01-01T0:00:00Z", "2024-01-01T00:0:00Z", "2024-01-01T00:00:0Z",
+                    "999-05-01T00:00:00Z",
+                    # digits of other scripts, which strptime and int() accept
+                    "\u0662\u0660\u0662\u0664-01-01T00:00:00Z",
+                    "2024-01-01T00:00:0\uff11Z", "\u0968\u0966\u0968\u096a-01-01T00:00:00Z",
+                    # impossible values and stray characters
+                    "0000-01-01T00:00:00Z", "2023-02-29T00:00:00Z", "2024-01-01T24:00:00Z",
+                    "2024-01-01T00:00:60Z", "2024-01-01T00:00:00z", "2024-01-01T00:00:00Z\n",
+                    " 2024-01-01T00:00:00Z", "", 5, None):
             with pytest.raises(EventError):
                 parse_timestamp(bad)
+
+    @given(utc_seconds)
+    def test_timestamp_round_trip_every_year(self, when):
+        text = format_timestamp(when)
+        assert len(text) == 20
+        assert parse_timestamp(text) == when
+
+    def test_format_pads_year_to_four_digits(self):
+        assert format_timestamp(utc(999, 5, 1)) == "0999-05-01T00:00:00Z"
+        assert format_timestamp(utc(1, 1, 1)) == "0001-01-01T00:00:00Z"
+
+    @given(st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z",
+                         fullmatch=True))
+    def test_timestamp_agrees_with_strptime(self, text):
+        # strptime is the reference on the canonical shape only: it also takes
+        # one-digit fields and non-ASCII digits, which parse_timestamp rejects
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+        except ValueError:
+            with pytest.raises(EventError):
+                parse_timestamp(text)
+        else:
+            assert parse_timestamp(text) == expected
 
     def test_obj_round_trip(self):
         rng = random.Random(1)
@@ -90,6 +142,29 @@ class TestEvents:
         obj["extra"] = 1
         with pytest.raises(EventError, match="extra"):
             event_from_obj(obj)
+
+    @pytest.mark.parametrize("field", sorted(audit._EVENT_KEYS))
+    @pytest.mark.parametrize("value", [5, ["x"], None, {"a": "b"}])
+    def test_obj_fields_must_be_strings(self, field, value):
+        obj = event_to_obj(make_event(random.Random(3)))
+        obj[field] = value
+        with pytest.raises(EventError, match=f"event field '{field}' must be a string"):
+            event_from_obj(obj)
+
+    @pytest.mark.parametrize("field", ["user", "account", "action", "resource", "source"])
+    def test_constructor_fields_must_be_strings(self, field):
+        fields = dict(time=utc(2024, 1, 1), kind=EventKind.API_CALL, user="ana",
+                      account=ACCOUNTS[0], verdict=Verdict.ALLOW,
+                      action="s3:GetObject", resource="arn:aws:s3:::a", source=ACCOUNTS[0])
+        fields[field] = 5
+        with pytest.raises(EventError, match=f"event field '{field}' must be a string, not int"):
+            AuditEvent(**fields)
+
+    @pytest.mark.parametrize("when", ["2024-01-01T00:00:00Z", 0, datetime(2024, 1, 1)])
+    def test_constructor_time_must_be_aware_datetime(self, when):
+        with pytest.raises(EventError, match="timezone-aware UTC datetime"):
+            AuditEvent(time=when, kind=EventKind.LOGIN, user="ana", account=ACCOUNTS[0],
+                       verdict=Verdict.ALLOW)
 
 
 class TestArchive:
@@ -165,6 +240,103 @@ class TestArchive:
         path.write_text(json.dumps(good) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(EventError, match=":2"):
             read_archive(path)
+
+    def test_read_takes_whitespace_but_not_trailing_data(self, tmp_path):
+        event = make_event(random.Random(11))
+        line = json.dumps(event_to_obj(event))
+        path = tmp_path / "log.jsonl"
+        path.write_text(f"\n  {line} \t\n\n{line}", encoding="utf-8")
+        assert read_archive(path).events == (event, event)
+        for junk in (" x", "{}", "]"):
+            path.write_text(f"{line}\n{line}{junk}\n", encoding="utf-8")
+            with pytest.raises(EventError, match=":2: Extra data"):
+                read_archive(path)
+
+
+# text that JSON must escape, or that is outside ASCII, in user and resource
+_awkward_text = st.text(
+    alphabet=st.sampled_from(list('ab-"\\/\n\t\x00\x7f\u00e9\u2028\u4e2d\U0001f600')),
+    min_size=1, max_size=8,
+)
+
+
+@st.composite
+def codec_events(draw):
+    kind = draw(st.sampled_from(list(EventKind)))
+    account = draw(st.sampled_from(ACCOUNTS))
+    api = kind is EventKind.API_CALL
+    return AuditEvent(
+        time=draw(utc_seconds),
+        kind=kind,
+        user=draw(st.one_of(st.sampled_from(USERS), _awkward_text)),
+        account=account,
+        action=draw(st.sampled_from(ACTIONS)) if api else "",
+        resource=draw(st.one_of(st.sampled_from(RESOURCES), _awkward_text)) if api else "",
+        verdict=draw(st.sampled_from(list(Verdict))),
+        source=draw(st.sampled_from(ACCOUNTS + [account])),
+    )
+
+
+class TestCodec:
+    @given(st.lists(codec_events(), max_size=12))
+    def test_line_encoder_matches_json_dumps(self, events):
+        for event in events:
+            assert event_to_line(event) == \
+                json.dumps(event_to_obj(event), separators=(",", ":")) + "\n"
+
+    @given(st.lists(codec_events(), max_size=12))
+    def test_write_read_write_is_identity(self, tmp_path_factory, events):
+        archive = archive_from_events(events)
+        path = tmp_path_factory.mktemp("codec") / "archive.jsonl"
+        write_archive(archive, path)
+        first = path.read_bytes()
+        assert read_archive(path) == archive
+        write_archive(read_archive(path), path)
+        assert path.read_bytes() == first
+
+    def test_action_must_be_a_string_in_a_log(self, tmp_path):
+        obj = event_to_obj(make_event(random.Random(1), second=0))
+        path = tmp_path / "log.jsonl"
+        lines = [json.dumps(obj), json.dumps({**obj, "kind": "ApiCall", "action": 5})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(EventError, match=r":2: event field 'action' must be a string"):
+            read_archive(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_old_archive(self, tmp_path, monkeypatch):
+        rng = random.Random(20)
+        path = tmp_path / "archive.jsonl"
+        write_archive(random_archive(rng, 10), path)
+        before = path.read_bytes()
+        calls = []
+
+        def failing(event):
+            calls.append(event)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return event_to_line(event)
+
+        monkeypatch.setattr(audit, "event_to_line", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_archive(random_archive(rng, 10), path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.jsonl"]
+
+    def test_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        old = os.umask(0o027)
+        try:
+            write_archive(random_archive(random.Random(21), 3), path)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_directory_target_is_refused(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_archive(LogArchive(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestQuery:

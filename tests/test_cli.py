@@ -66,6 +66,14 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err == "users[0].groups: expected a list\n"
 
+    def test_numeric_user_id_exits_two_naming_the_field(self, run, demo_scenario_path, tmp_path):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        scenario["users"][0]["id"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run("--scenario", str(path), "validate")
+        assert (code, out, err) == (2, "", "users[0].id: expected a string\n")
+
     def test_missing_file_is_io_failure(self, run, tmp_path):
         code, _, err = run("--scenario", str(tmp_path / "nope.json"), "validate")
         assert code == 3 and err
@@ -210,6 +218,23 @@ class TestSimulate:
         assert json.loads(out_path.read_text())["verdict"] == "Allow"
         archive = read_archive(log_path)
         assert len(archive) == 1 and archive.events[0].user == "user-1"
+
+    def test_failing_out_leaves_no_emitted_log(self, run, sharing_scenario_path, tmp_path):
+        requests = tmp_path / "reqs.jsonl"
+        requests.write_text(json.dumps({
+            "user": "user-1", "account": "111111111111",
+            "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+        }) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "decisions"
+        out_dir.mkdir()
+        log_path = tmp_path / "log.jsonl"
+        code, out, err = run(
+            "--scenario", str(sharing_scenario_path), "simulate", str(requests),
+            "--emit-log", str(log_path), "--out", str(out_dir),
+        )
+        assert (code, out) == (3, "") and "Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["decisions", "reqs.jsonl"]
+        assert list(out_dir.iterdir()) == []
 
 
 class TestAnalyze:
@@ -367,6 +392,25 @@ class TestAudit:
         path.write_text('{"nope": true}\n', encoding="utf-8")
         code, out, err = run("audit", "query", str(path))
         assert code == 2 and out == "" and ":1:" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("user", 5), ("account", ["x"]), ("action", 5), ("resource", None), ("time", 0),
+    ])
+    def test_non_string_event_field_exits_two(self, run, tmp_path, field, value):
+        a, _, _ = self._logs(tmp_path)
+        lines = a.read_text(encoding="utf-8").splitlines()
+        bad = json.loads(lines[1])  # the ApiCall
+        bad[field] = value
+        lines[1] = json.dumps(bad)
+        a.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        merged = tmp_path / "archive.jsonl"
+        for argv in (("audit", "query", str(a)),
+                     ("audit", "merge", str(a), "--out", str(merged))):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"{a}:2: event field '{field}' must be a string")
+            assert err.count("\n") == 1
+        assert not merged.exists()
 
 
 class TestDeterminism:

@@ -151,6 +151,35 @@ class TestBuild:
         with pytest.raises(ScenarioError, match=r"organization\.root\.accounts: expected a list"):
             build_org(scenario)
 
+    @pytest.mark.parametrize("path, where, field", [
+        (("users", 0), "users[0]", "id"),
+        (("users", 0), "users[0]", "display_name"),
+        (("groups", 0), "groups[0]", "id"),
+        (("permission_sets", 0), "permission_sets[0]", "id"),
+        (("permission_sets", 0, "policies", 0), "permission_sets[0].policies[0]", "name"),
+        (("assignments", 0), "assignments[0]", "group"),
+        (("assignments", 0), "assignments[0]", "account"),
+        (("assignments", 0), "assignments[0]", "permission_set"),
+        (("resources", 0), "resources[0]", "arn"),
+        (("resources", 0), "resources[0]", "owner_account"),
+        (("shares", 0), "shares[0]", "resource"),
+        (("organization",), "scenario.organization", "management_account"),
+        (("organization", "root"), "organization.root", "name"),
+        (("organization", "root", "accounts", 0), "organization.root.accounts[0]", "id"),
+        (("organization", "root", "accounts", 0), "organization.root.accounts[0]", "name"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["x"], None])
+    def test_scalar_fields_are_typed(self, demo_scenario_path, path, where, field, value):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        obj = scenario
+        for key in path:
+            obj = obj[key]
+        assert isinstance(obj[field], str)
+        obj[field] = value
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}.{field}: expected a string"]
+
 
 class TestProvision:
     def test_adds_account_under_ou(self, demo_org):
