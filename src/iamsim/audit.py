@@ -13,7 +13,7 @@ in UTC with ASCII digits (``2024-01-01T00:00:00Z``); single-digit fields,
 offsets, fractions and other digit scripts are rejected, never coerced.
 :func:`read_archive` decodes every line through :func:`event_from_obj` and
 :func:`write_archive` encodes every event through :func:`event_to_line`,
-replacing the target file atomically.
+replacing a regular target file atomically (see :mod:`iamsim.atomic`).
 """
 
 from __future__ import annotations
@@ -94,14 +94,10 @@ class AuditEvent:
     source: str = ""
 
     def __post_init__(self) -> None:
-        # one chained test per event on the read path; the loop only names the field
-        if not (isinstance(self.user, str) and isinstance(self.account, str)
-                and isinstance(self.action, str) and isinstance(self.resource, str)
-                and isinstance(self.source, str)):
-            for name in _STRING_FIELDS:
-                value = getattr(self, name)
-                if not isinstance(value, str):
-                    raise EventError(_not_a_string(name, value))
+        for name in _STRING_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise EventError(_not_a_string(name, value))
         if not isinstance(self.time, datetime) or self.time.tzinfo is None:
             raise EventError("event time must be a timezone-aware UTC datetime")
         if not isinstance(self.kind, EventKind):
@@ -233,25 +229,9 @@ def merge_archives(archives: Sequence[LogArchive]) -> LogArchive:
 def write_archive(archive: LogArchive, path) -> None:
     """Write one line per event; ``path`` is replaced only once every line
     is written, so a failed write leaves any earlier file as it was."""
-    with replacing(path) as (temp,):
-        with open(temp, "w", encoding="utf-8") as fh:
+    with replacing(path) as (target,):
+        with open(target, "w", encoding="utf-8") as fh:
             fh.writelines(map(event_to_line, archive.events))
-
-
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str) -> object:
-    """``json.loads(line)``, skipping its wrapper in the common case; any
-    line the fast path does not take whole goes to ``json.loads`` for the
-    same result or error."""
-    try:
-        obj, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        return json.loads(line)
-    if line[end:].strip():
-        return json.loads(line)
-    return obj
 
 
 def read_archive(path) -> LogArchive:
@@ -261,7 +241,7 @@ def read_archive(path) -> LogArchive:
             if line.isspace():
                 continue
             try:
-                events.append(event_from_obj(_decode_line(line)))
+                events.append(event_from_obj(json.loads(line)))
             except (json.JSONDecodeError, EventError) as exc:
                 raise EventError(f"{path}:{lineno}: {exc}") from exc
     return archive_from_events(events)

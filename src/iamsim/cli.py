@@ -5,8 +5,9 @@ Thin adapter over the library: loads a scenario, runs one subcommand
 with diagnostics on stderr. Exit codes are scriptable: 0 success (or
 Allow), 1 Deny from ``authorize``, 2 invalid input or request, 3 I/O
 failure. Output is buffered and written only on success; output files are
-staged beside their targets and renamed into place once all are written. So
-a failing run never leaves partial data. Identical inputs and seed produce
+staged beside their targets and renamed into place once all are written
+(links, devices and FIFOs are written in place). So a failing run never
+leaves partial data in a regular file. Identical inputs and seed produce
 byte-identical output.
 """
 
@@ -190,13 +191,14 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]
         _dumps(decision_to_obj(d, include_trace=args.trace)) for d in decisions
     ]
     body = "".join(line + "\n" for line in lines)
-    # both files are staged and only then renamed into place, so a failing
-    # run leaves neither behind
-    with replacing(args.emit_log or None, args.out or None) as (log_temp, out_temp):
-        if log_temp:
-            write_archive(archive_from_events(events), log_temp)
-        if out_temp:
-            out_temp.write_text(body, encoding="utf-8")
+    # --out is fully written to its staged file before write_archive writes
+    # and renames the log, and is renamed only after that, so a run that
+    # fails to write either file leaves neither behind
+    with replacing(args.out or None) as (out_path,):
+        if out_path:
+            out_path.write_text(body, encoding="utf-8")
+        if args.emit_log:
+            write_archive(archive_from_events(events), args.emit_log)
     return EXIT_OK, "" if args.out else body
 
 

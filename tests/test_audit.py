@@ -247,7 +247,7 @@ class TestArchive:
         path = tmp_path / "log.jsonl"
         path.write_text(f"\n  {line} \t\n\n{line}", encoding="utf-8")
         assert read_archive(path).events == (event, event)
-        for junk in (" x", "{}", "]"):
+        for junk in (" x", "{}", "]", "\x0c", " \u2028", "\xa0"):
             path.write_text(f"{line}\n{line}{junk}\n", encoding="utf-8")
             with pytest.raises(EventError, match=":2: Extra data"):
                 read_archive(path)

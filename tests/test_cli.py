@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, buffering and thin-adapter parity."""
 
 import json
+import os
 
 import pytest
 
@@ -219,22 +220,46 @@ class TestSimulate:
         archive = read_archive(log_path)
         assert len(archive) == 1 and archive.events[0].user == "user-1"
 
-    def test_failing_out_leaves_no_emitted_log(self, run, sharing_scenario_path, tmp_path):
+    @pytest.mark.parametrize("failing", ["--out", "--emit-log"])
+    def test_failing_output_leaves_neither_file(
+        self, run, sharing_scenario_path, tmp_path, failing
+    ):
         requests = tmp_path / "reqs.jsonl"
         requests.write_text(json.dumps({
             "user": "user-1", "account": "111111111111",
             "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
         }) + "\n", encoding="utf-8")
-        out_dir = tmp_path / "decisions"
-        out_dir.mkdir()
-        log_path = tmp_path / "log.jsonl"
+        a_dir = tmp_path / "a-dir"
+        a_dir.mkdir()
+        paths = {"--emit-log": tmp_path / "log.jsonl", "--out": tmp_path / "out.jsonl"}
+        paths[failing] = a_dir
         code, out, err = run(
             "--scenario", str(sharing_scenario_path), "simulate", str(requests),
-            "--emit-log", str(log_path), "--out", str(out_dir),
+            *(str(x) for flag, path in paths.items() for x in (flag, path)),
         )
         assert (code, out) == (3, "") and "Is a directory" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["decisions", "reqs.jsonl"]
-        assert list(out_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "reqs.jsonl"]
+        assert list(a_dir.iterdir()) == []
+
+    def test_linked_outputs_are_written_through(self, run, sharing_scenario_path, tmp_path):
+        requests = tmp_path / "reqs.jsonl"
+        requests.write_text(json.dumps({
+            "user": "user-1", "account": "111111111111",
+            "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+        }) + "\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.jsonl"
+        (tmp_path / "out").symlink_to(decisions)
+        (tmp_path / "log").symlink_to(os.devnull)
+        code, out, err = run(
+            "--scenario", str(sharing_scenario_path), "simulate", str(requests),
+            "--emit-log", str(tmp_path / "log"), "--out", str(tmp_path / "out"),
+        )
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "out").is_symlink() and (tmp_path / "log").is_symlink()
+        assert json.loads(decisions.read_text(encoding="utf-8"))["verdict"] == "Allow"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "decisions.jsonl", "log", "out", "reqs.jsonl",
+        ]
 
 
 class TestAnalyze:
