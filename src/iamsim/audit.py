@@ -30,7 +30,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 from .atomic import replacing
-from .policy import Verdict, _OPERATION_RE, _SERVICE_RE, split_action
+from .policy import (
+    ActionPattern, PolicyParseError, Verdict, check_operation_pattern, glob_match, split_action,
+)
 
 _TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
@@ -247,46 +249,13 @@ def read_archive(path) -> LogArchive:
     return archive_from_events(events)
 
 
-def _parse_filter_pattern(pattern: str) -> tuple[str, str]:
-    """Split a query action pattern into (service, operation pattern).
-
-    Queries accept one extension over policy action patterns: the service
-    part may be ``*`` on its own with an arbitrary operation pattern
-    (``*:Delete*``), matching the operation across all services.
-    """
-    if pattern == "*":
-        return "*", "*"
-    parts = pattern.split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise EventError(f"bad action pattern {pattern!r}: expected 'service:operation'")
-    service, op = parts
-    if service != "*" and not _SERVICE_RE.fullmatch(service):
-        raise EventError(f"bad action pattern {pattern!r}: invalid service token")
-    body = op[:-1] if op.endswith("*") else op
-    if op != "*" and not _OPERATION_RE.fullmatch(body):
-        raise EventError(f"bad action pattern {pattern!r}: one trailing '*' at most")
-    return service, op
-
-
-def _action_filter_matches(service: str, op_pattern: str, action: str) -> bool:
-    if not action or ":" not in action:
-        return False
-    act_service, act_op = action.split(":", 1)
-    if service != "*" and act_service != service:
-        return False
-    if op_pattern == "*":
-        return True
-    if op_pattern.endswith("*"):
-        return act_op.startswith(op_pattern[:-1])
-    return act_op == op_pattern
-
-
 @dataclass(frozen=True)
 class QueryFilter:
     """Conjunction of optional per-field constraints; absent fields match all.
 
-    ``action_pattern`` uses the action-pattern language (plus the ``*:Op*``
-    any-service extension); the time range is inclusive at both ends.
+    ``action_pattern`` is a policy action pattern, or ``*:Op`` / ``*:Op*``
+    for an operation in any service, and matches API calls only; the time
+    range is inclusive at both ends.
     """
 
     user: str | None = None
@@ -299,16 +268,20 @@ class QueryFilter:
 
     def __post_init__(self) -> None:
         if self.action_pattern is not None:
-            _parse_filter_pattern(self.action_pattern)
+            pattern = self.action_pattern
+            try:
+                if pattern.startswith("*:"):
+                    check_operation_pattern(pattern[2:])
+                else:
+                    ActionPattern.parse(pattern)
+            except PolicyParseError as exc:
+                raise EventError(f"bad action pattern {pattern!r}: {exc}") from exc
         if self.since is not None and self.until is not None and self.since > self.until:
             raise EventError("bad time range: since is after until")
 
 
 def query(archive: LogArchive, flt: QueryFilter) -> list[AuditEvent]:
     """Events satisfying every present filter field, in archive order."""
-    pattern = None
-    if flt.action_pattern is not None:
-        pattern = _parse_filter_pattern(flt.action_pattern)
     out = []
     for event in archive.events:
         if flt.user is not None and event.user != flt.user:
@@ -323,7 +296,11 @@ def query(archive: LogArchive, flt: QueryFilter) -> list[AuditEvent]:
             continue
         if flt.until is not None and event.time > flt.until:
             continue
-        if pattern is not None and not _action_filter_matches(pattern[0], pattern[1], event.action):
+        # a concrete action has exactly one ":", so the glob language of a
+        # pattern is the set of actions it matches
+        if flt.action_pattern is not None and (
+            event.kind is not EventKind.API_CALL or not glob_match(flt.action_pattern, event.action)
+        ):
             continue
         out.append(event)
     return out

@@ -3,7 +3,8 @@
 Thin adapter over the library: loads a scenario, runs one subcommand
 (validate, authorize, simulate, analyze, audit) and prints data on stdout
 with diagnostics on stderr. Exit codes are scriptable: 0 success (or
-Allow), 1 Deny from ``authorize``, 2 invalid input or request, 3 I/O
+Allow), 1 Deny from ``authorize``, 2 invalid input or request (and any
+unexpected error, reported in one line without a traceback), 3 I/O
 failure. Output is buffered and written only on success; output files are
 staged beside their targets and renamed into place once all are written
 (links, devices and FIFOs are written in place). So a failing run never
@@ -17,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 
@@ -61,15 +61,6 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide options shared by every subcommand."""
-
-    scenario: str | None
-    fmt: str
-    seed: int
-
-
 class CliError(Exception):
     """Invalid input; rendered on stderr with exit code 2."""
 
@@ -105,10 +96,10 @@ def _parse_context(pairs: list[str]) -> dict[str, str]:
     return context
 
 
-def _load_org(config: RunConfig) -> Organization:
-    if not config.scenario:
+def _load_org(args: argparse.Namespace) -> Organization:
+    if not args.scenario:
         raise CliError("a scenario file is required (--scenario PATH)")
-    return load_scenario(config.scenario)
+    return load_scenario(args.scenario)
 
 
 def _read_requests(path: str) -> list[AccessRequest]:
@@ -129,15 +120,13 @@ def _read_requests(path: str) -> list[AccessRequest]:
             missing = sorted({"user", "account", "action", "resource"} - set(obj))
             if missing:
                 raise CliError(f"{path}:{lineno}: missing field(s) {', '.join(missing)}")
-            context = obj.get("context", {})
-            if not isinstance(context, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in context.items()
-            ):
-                raise CliError(f"{path}:{lineno}: context must map strings to strings")
-            requests.append(AccessRequest(
-                user=obj["user"], account=obj["account"],
-                action=obj["action"], resource=obj["resource"], context=context,
-            ))
+            try:
+                requests.append(AccessRequest(
+                    user=obj["user"], account=obj["account"], action=obj["action"],
+                    resource=obj["resource"], context=obj.get("context", {}),
+                ))
+            except RequestError as exc:
+                raise CliError(f"{path}:{lineno}: {exc}") from exc
     return requests
 
 
@@ -145,9 +134,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def cmd_validate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    org = _load_org(config)
-    if config.fmt == "json":
+def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
+    org = _load_org(args)
+    if args.fmt == "json":
         summary = {
             "valid": True,
             "accounts": len(org.accounts),
@@ -162,8 +151,8 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]
     )
 
 
-def cmd_authorize(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    org = _load_org(config)
+def cmd_authorize(args: argparse.Namespace) -> tuple[int, str]:
+    org = _load_org(args)
     request = AccessRequest(
         user=args.user, account=args.account,
         action=args.action, resource=args.resource,
@@ -171,15 +160,15 @@ def cmd_authorize(config: RunConfig, args: argparse.Namespace) -> tuple[int, str
     )
     decision = authorize(org, request)
     code = EXIT_OK if decision.verdict is Verdict.ALLOW else EXIT_DENY
-    if config.fmt == "json":
+    if args.fmt == "json":
         return code, _dumps(decision_to_obj(decision, include_trace=args.explain)) + "\n"
     if args.explain:
         return code, render_trace(org, request, decision) + "\n"
     return code, f"{decision.verdict.value} ({decision.reason.value})\n"
 
 
-def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    org = _load_org(config)
+def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
+    org = _load_org(args)
     # a missing directory is invalid input (exit 2), refused before any work
     for path in (args.out, args.emit_log):
         if path and not Path(path).resolve().parent.is_dir():
@@ -202,18 +191,18 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]
     return EXIT_OK, "" if args.out else body
 
 
-def cmd_analyze_unused(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    org = _load_org(config)
+def cmd_analyze_unused(args: argparse.Namespace) -> tuple[int, str]:
+    org = _load_org(args)
     archive = read_archive(args.log)
     index = build_usage_index(org, archive.events)
     entries = unused_report(index, org, parse_timestamp(args.as_of), args.threshold_days)
-    if config.fmt == "json":
+    if args.fmt == "json":
         return EXIT_OK, _dumps(unused_report_obj(entries)) + "\n"
     return EXIT_OK, render_unused_report(entries) + "\n"
 
 
-def cmd_analyze_generate(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
-    org = _load_org(config)
+def cmd_analyze_generate(args: argparse.Namespace) -> tuple[int, str]:
+    org = _load_org(args)
     archive = read_archive(args.log)
     index = build_usage_index(org, archive.events)
     table = VerbTable.load(args.verb_table) if args.verb_table else None
@@ -223,9 +212,9 @@ def cmd_analyze_generate(config: RunConfig, args: argparse.Namespace) -> tuple[i
         args.level,
         _parse_window(args.window),
         verb_table=table,
-        sample_seed=config.seed,
+        sample_seed=args.seed,
     )
-    if config.fmt == "json":
+    if args.fmt == "json":
         return EXIT_OK, _dumps(generated_policy_obj(generated)) + "\n"
     v = generated.verification
     lines = [
@@ -239,11 +228,11 @@ def cmd_analyze_generate(config: RunConfig, args: argparse.Namespace) -> tuple[i
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_audit_merge(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_audit_merge(args: argparse.Namespace) -> tuple[int, str]:
     archives = [read_archive(p) for p in args.logs]
     merged = merge_archives(archives)
     write_archive(merged, args.out)
-    if config.fmt == "json":
+    if args.fmt == "json":
         summary = {
             "events": len(merged),
             "accounts_covered": sorted(merged.accounts_covered),
@@ -256,7 +245,7 @@ def cmd_audit_merge(config: RunConfig, args: argparse.Namespace) -> tuple[int, s
     )
 
 
-def cmd_audit_query(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
     archive = read_archive(args.log)
     flt = QueryFilter(
         user=args.user,
@@ -268,7 +257,7 @@ def cmd_audit_query(config: RunConfig, args: argparse.Namespace) -> tuple[int, s
         until=parse_timestamp(args.until) if args.until else None,
     )
     events = query(archive, flt)
-    if config.fmt == "json":
+    if args.fmt == "json":
         return EXIT_OK, "".join(map(event_to_line, events))
     lines = [
         f"{format_timestamp(e.time)} {e.kind.value} user={e.user} account={e.account} "
@@ -279,10 +268,10 @@ def cmd_audit_query(config: RunConfig, args: argparse.Namespace) -> tuple[int, s
     return EXIT_OK, "".join(line + "\n" for line in lines)
 
 
-def cmd_audit_denied(config: RunConfig, args: argparse.Namespace) -> tuple[int, str]:
+def cmd_audit_denied(args: argparse.Namespace) -> tuple[int, str]:
     archive = read_archive(args.log)
     cells = denied_access_summary(archive, _parse_bucket(args.bucket))
-    if config.fmt == "json":
+    if args.fmt == "json":
         objs = [
             {
                 "bucket_start": format_timestamp(c.bucket_start),
@@ -374,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(scenario=args.scenario, fmt=args.fmt, seed=args.seed)
     try:
-        code, body = args.func(config, args)
+        code, body = args.func(args)
     except ScenarioError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
@@ -387,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a fault of iamsim itself: one line, never a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INVALID
     if body:
         sys.stdout.write(body)
     return code

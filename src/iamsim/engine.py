@@ -62,13 +62,27 @@ _ALLOW_REASONS = (Reason.SAME_ACCOUNT_ALLOW, Reason.CROSS_ACCOUNT_ALLOW)
 @dataclass(frozen=True)
 class AccessRequest:
     """One authorization question: may ``user``, acting in ``account``,
-    perform ``action`` on ``resource`` under ``context``?"""
+    perform ``action`` on ``resource`` under ``context``?
+
+    The four names must be ``str`` and ``context`` must map ``str`` to
+    ``str``; anything else is a :class:`RequestError` naming the field.
+    """
 
     user: str
     account: str
     action: str
     resource: str
     context: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("user", "account", "action", "resource"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise RequestError(f"request field {name!r} must be a string, not {type(value).__name__}")
+        if not isinstance(self.context, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in self.context.items()
+        ):
+            raise RequestError("request field 'context' must map strings to strings")
 
 
 @dataclass(frozen=True)
@@ -164,56 +178,68 @@ def authorize(org: Organization, request: AccessRequest) -> Decision:
                 trace.append(_trace_statement("identity", ps_id, policy.name, index, stmt, request))
 
     resource = org.resources_by_arn.get(request.resource)
-    owner = resource.owner_account if resource is not None else request.account
     if resource is not None and resource.resource_policy is not None:
         policy = resource.resource_policy
         for index, stmt in enumerate(policy.statements):
             trace.append(_trace_statement("resource", resource.arn, policy.name, index, stmt, request))
 
-    identity_allow = any(
-        t.matched and t.side == "identity" and t.effect is Effect.ALLOW for t in trace
-    )
-    resource_allow = any(
-        t.matched and t.side == "resource" and t.effect is Effect.ALLOW for t in trace
-    )
-    any_deny = any(t.matched and t.effect is Effect.DENY for t in trace)
+    reason, _ = _judge(org, request, trace)
+    verdict = Verdict.ALLOW if reason in _ALLOW_REASONS else Verdict.DENY
+    return Decision(verdict, reason, tuple(trace))
 
-    frozen = tuple(trace)
-    if any_deny:
-        return Decision(Verdict.DENY, Reason.EXPLICIT_DENY, frozen)
-    if request.account == owner:
+
+def _judge(org: Organization, request: AccessRequest, trace: Sequence[MatchTrace]) -> tuple[Reason, str]:
+    """Apply the four rules of the module docstring to a complete trace,
+    returning the reason and the sentence that explains it."""
+    identity_allow = resource_allow = False
+    for t in trace:
+        if t.matched:
+            if t.effect is Effect.DENY:
+                return Reason.EXPLICIT_DENY, "an explicit Deny statement matched the request"
+            if t.side == "identity":
+                identity_allow = True
+            else:
+                resource_allow = True
+    resource = org.resources_by_arn.get(request.resource)
+    if resource is None or request.account == resource.owner_account:
         if identity_allow or resource_allow:
-            return Decision(Verdict.ALLOW, Reason.SAME_ACCOUNT_ALLOW, frozen)
-    else:
-        shared = shares_covering(org, request.resource, request.account)
-        if identity_allow and (resource_allow or shared):
-            return Decision(Verdict.ALLOW, Reason.CROSS_ACCOUNT_ALLOW, frozen)
-    return Decision(Verdict.DENY, Reason.IMPLICIT_DENY, frozen)
+            return (Reason.SAME_ACCOUNT_ALLOW,
+                    "same-account request: a matching Allow statement grants access")
+        return (Reason.IMPLICIT_DENY,
+                "same-account request: no matching Allow statement; denied by default")
+    shared = shares_covering(org, request.resource, request.account)
+    if identity_allow and (resource_allow or shared):
+        return (Reason.CROSS_ACCOUNT_ALLOW,
+                "cross-account request: identity Allow and resource-side grant both present")
+    if identity_allow:
+        return (Reason.IMPLICIT_DENY,
+                "cross-account request: identity Allow matched but the resource side "
+                "grants nothing (no matching resource Allow, no share); denied by default")
+    return Reason.IMPLICIT_DENY, "cross-account request: no matching identity Allow; denied by default"
 
 
 def simulate(
     org: Organization,
     requests: Sequence[AccessRequest],
     sink: Callable[[AuditEvent], None] | None = None,
-    start_time: datetime = SIMULATION_EPOCH,
 ) -> list[Decision]:
     """Authorize a batch in order, emitting one audit event per request.
 
-    All requests are validated before any is evaluated, so a bad batch
-    produces no partial output; the error names the offending index.
+    A malformed request raises :class:`RequestError` naming its index.
+    Events go to ``sink`` only once every request is decided, so a bad
+    batch emits none. Event ``i`` is stamped ``SIMULATION_EPOCH`` plus
+    ``i`` seconds.
     """
-    for i, request in enumerate(requests):
-        try:
-            validate_request(org, request)
-        except RequestError as exc:
-            raise RequestError(f"request {i}: {exc}") from exc
     decisions = []
     for i, request in enumerate(requests):
-        decision = authorize(org, request)
-        decisions.append(decision)
-        if sink is not None:
+        try:
+            decisions.append(authorize(org, request))
+        except RequestError as exc:
+            raise RequestError(f"request {i}: {exc}") from exc
+    if sink is not None:
+        for i, (request, decision) in enumerate(zip(requests, decisions)):
             sink(AuditEvent(
-                time=start_time + timedelta(seconds=i),
+                time=SIMULATION_EPOCH + timedelta(seconds=i),
                 kind=EventKind.API_CALL,
                 user=request.user,
                 account=request.account,
@@ -223,26 +249,6 @@ def simulate(
                 source=request.account,
             ))
     return decisions
-
-
-def _rule_line(org: Organization, request: AccessRequest, decision: Decision) -> str:
-    identity_allow = any(
-        t.matched and t.side == "identity" and t.effect is Effect.ALLOW for t in decision.trace
-    )
-    if decision.reason is Reason.EXPLICIT_DENY:
-        return "an explicit Deny statement matched the request"
-    if decision.reason is Reason.SAME_ACCOUNT_ALLOW:
-        return "same-account request: a matching Allow statement grants access"
-    if decision.reason is Reason.CROSS_ACCOUNT_ALLOW:
-        return "cross-account request: identity Allow and resource-side grant both present"
-    resource = org.resources_by_arn.get(request.resource)
-    owner = resource.owner_account if resource is not None else request.account
-    if request.account == owner:
-        return "same-account request: no matching Allow statement; denied by default"
-    if identity_allow:
-        return ("cross-account request: identity Allow matched but the resource side "
-                "grants nothing (no matching resource Allow, no share); denied by default")
-    return "cross-account request: no matching identity Allow; denied by default"
 
 
 def _yn(value: bool | None) -> str:
@@ -255,7 +261,7 @@ def render_trace(org: Organization, request: AccessRequest, decision: Decision) 
     """Deterministic human-readable account of a decision."""
     lines = [
         f"decision: {decision.verdict.value} ({decision.reason.value})",
-        f"rule: {_rule_line(org, request, decision)}",
+        f"rule: {_judge(org, request, decision.trace)[1]}",
         "trace:",
     ]
     if not decision.trace:

@@ -34,8 +34,7 @@ _TOP_LEVEL_KEYS = frozenset({"Version", "Statement"})
 _STATEMENT_KEYS = frozenset({"Effect", "Principal", "Action", "Resource", "Condition"})
 
 _SERVICE_RE = re.compile(r"[a-z0-9-]+\Z")
-_OPERATION_RE = re.compile(r"[A-Za-z0-9]+\Z")
-_VERB_RE = re.compile(r"[A-Za-z0-9]+\Z")
+_OPERATION_RE = re.compile(r"[A-Za-z0-9]+\Z")  # also the verb-table alphabet
 
 
 class PolicyParseError(ValueError):
@@ -91,6 +90,15 @@ def glob_match(pattern: str, text: str) -> bool:
     return pos <= end
 
 
+def check_operation_pattern(op: str) -> None:
+    """Accept ``*``, an operation name, or a name with one trailing ``*``."""
+    if op == "*":
+        return
+    body = op[:-1] if op.endswith("*") else op
+    if not _OPERATION_RE.fullmatch(body):
+        raise PolicyParseError(f"invalid operation pattern {op!r}: one trailing '*' at most")
+
+
 @dataclass(frozen=True)
 class ActionPattern:
     """An action matcher of the form ``service:operation``.
@@ -113,14 +121,7 @@ class ActionPattern:
             return
         if not _SERVICE_RE.fullmatch(self.service):
             raise PolicyParseError(f"invalid service token {self.service!r}")
-        op = self.operation_pattern
-        if op == "*":
-            return
-        body = op[:-1] if op.endswith("*") else op
-        if not _OPERATION_RE.fullmatch(body):
-            raise PolicyParseError(
-                f"invalid operation pattern {op!r}: one trailing '*' at most"
-            )
+        check_operation_pattern(self.operation_pattern)
 
     @classmethod
     def parse(cls, text: str) -> "ActionPattern":
@@ -449,7 +450,7 @@ class VerbTable:
                     f"verb table line {lineno}: expected 'Verb<TAB>read|write'"
                 )
             verb, category = parts
-            if not _VERB_RE.fullmatch(verb):
+            if not _OPERATION_RE.fullmatch(verb):
                 raise PolicyParseError(f"verb table line {lineno}: bad verb {verb!r}")
             if category not in ("read", "write"):
                 raise PolicyParseError(

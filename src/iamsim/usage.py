@@ -12,13 +12,12 @@ unobserved pairs quantifies how much extra room the policy leaves.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from .audit import EventKind, format_timestamp
-from .engine import AccessRequest, authorize
+from .engine import AccessRequest, RequestError, authorize
 from .org import Assignment, Organization, PermissionSet
 from .policy import (
     ActionLevel,
@@ -30,7 +29,7 @@ from .policy import (
     Verdict,
     VerbTable,
     generalize_action,
-    serialize_policy,
+    policy_to_obj,
 )
 
 DEFAULT_SAMPLE_SEED = 1729
@@ -91,15 +90,12 @@ def build_usage_index(org: Organization, events) -> UsageIndex:
         if event.kind is not EventKind.API_CALL or event.verdict is not Verdict.ALLOW:
             continue
         try:
-            org.user(event.user)
-        except LookupError as exc:
+            decision = authorize(org, AccessRequest(
+                user=event.user, account=event.account,
+                action=event.action, resource=event.resource,
+            ))
+        except RequestError as exc:
             raise UsageError(f"event {i}: {exc}") from exc
-        if not org.has_account(event.account):
-            raise UsageError(f"event {i}: unknown account: {event.account}")
-        decision = authorize(org, AccessRequest(
-            user=event.user, account=event.account,
-            action=event.action, resource=event.resource,
-        ))
         for t in decision.trace:
             if t.side == "identity" and t.effect is Effect.ALLOW and t.matched:
                 index.statement_last_used[(t.origin, t.policy, t.statement_index)] = event.time
@@ -284,13 +280,12 @@ def complement_sample(
     index: UsageIndex,
     observed_pairs: set[tuple[str, str]],
     seed: int = DEFAULT_SAMPLE_SEED,
-    cap: int = DEFAULT_SAMPLE_CAP,
 ) -> list[tuple[str, str]]:
     """Seeded uniform sample of unobserved (action, resource) pairs.
 
     The universe is every action seen anywhere in the log crossed with
     every resource registered in the org, minus the principal's own
-    observations, capped at ``cap`` samples.
+    observations, capped at ``DEFAULT_SAMPLE_CAP`` samples.
     """
     actions = sorted(index.actions_seen())
     resources = sorted(r.arn for r in index.org.resources)
@@ -300,9 +295,9 @@ def complement_sample(
         for resource in resources
         if (action, resource) not in observed_pairs
     ]
-    if len(universe) <= cap:
+    if len(universe) <= DEFAULT_SAMPLE_CAP:
         return universe
-    return random.Random(seed).sample(universe, cap)
+    return random.Random(seed).sample(universe, DEFAULT_SAMPLE_CAP)
 
 
 def generate_least_privilege(
@@ -312,7 +307,6 @@ def generate_least_privilege(
     window: tuple[datetime, datetime],
     verb_table: VerbTable | None = None,
     sample_seed: int = DEFAULT_SAMPLE_SEED,
-    sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> GeneratedPolicy:
     """Build an Allow-only policy covering the principal's observed activity.
 
@@ -360,7 +354,7 @@ def generate_least_privilege(
         name=f"least-privilege-{user}-{account}-level{int(level)}",
     )
 
-    sample = complement_sample(index, observed, seed=sample_seed, cap=sample_cap)
+    sample = complement_sample(index, observed, seed=sample_seed)
     replay_org = install_sole_permission_set(index.org, user, account, document)
     result = replay_verify(replay_org, principal, observed, sample)
     verified = result.coverage == 1.0 and (level is not ActionLevel.EXACT or result.excess == 0.0)
@@ -381,7 +375,7 @@ def generated_policy_obj(generated: GeneratedPolicy) -> dict:
         "principal": {"user": generated.principal[0], "account": generated.principal[1]},
         "level": int(generated.level),
         "window": [format_timestamp(generated.window[0]), format_timestamp(generated.window[1])],
-        "policy": json.loads(serialize_policy(generated.document)),
+        "policy": policy_to_obj(generated.document),
         "verification": generated.verification.to_obj(),
         "verified": generated.verified,
         "fallback_actions": list(generated.fallback_actions),

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -39,6 +40,12 @@ ACCOUNTS = ["111111111111", "222222222222", "333333333333"]
 USERS = ["ana", "bo", "cy"]
 ACTIONS = ["s3:GetObject", "s3:DeleteObject", "ec2:StartInstances", "iam:DeleteRole"]
 RESOURCES = ["arn:aws:s3:::a", "arn:aws:s3:::b", "arn:aws:ec2:us-east-1:111111111111:instance/i-1"]
+
+# services and operations whose names prefix one another, so that a
+# trailing "*" and an exact name select different events
+QUERY_SERVICES = ["s3", "s3x", "ec2", "iam"]
+QUERY_OPERATIONS = ["Get", "GetObject", "GetObjectAcl", "DeleteBucket", "Delete", "List"]
+
 
 
 def make_event(rng: random.Random, *, second: int | None = None) -> AuditEvent:
@@ -387,6 +394,45 @@ class TestQuery:
         archive = random_archive(rng, 80)
         total = sum(len(query(archive, QueryFilter(kind=k))) for k in EventKind)
         assert total == len(archive)
+
+    @given(
+        pattern=st.one_of(
+            st.sampled_from(["*", "*:*"]),
+            st.builds("{}:*".format, st.sampled_from(QUERY_SERVICES)),
+            st.builds("{}:{}".format, st.sampled_from(QUERY_SERVICES + ["*"]),
+                      st.sampled_from(QUERY_OPERATIONS)),
+            st.builds("{}:{}*".format, st.sampled_from(QUERY_SERVICES + ["*"]),
+                      st.sampled_from(QUERY_OPERATIONS)),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_action_filter_matches_regex_reference(self, pattern, seed):
+        rng = random.Random(seed)
+        events = []
+        for second in range(40):
+            if rng.random() < 0.25:
+                events.append(AuditEvent(time=utc(2024, 3, 1, 0, 0, second),
+                                         kind=EventKind.LOGIN, user="ana",
+                                         account=ACCOUNTS[0], verdict=Verdict.ALLOW))
+                continue
+            action = f"{rng.choice(QUERY_SERVICES)}:{rng.choice(QUERY_OPERATIONS)}"
+            events.append(AuditEvent(time=utc(2024, 3, 1, 0, 0, second),
+                                     kind=EventKind.API_CALL, user="ana",
+                                     account=ACCOUNTS[0], action=action,
+                                     resource=RESOURCES[0], verdict=Verdict.ALLOW))
+        archive = archive_from_events(events)
+        # reference: "*" is every action; otherwise a "*" service is any
+        # service and a trailing "*" is any operation suffix
+        if pattern == "*":
+            regex = re.compile(r".+")
+        else:
+            service, operation = pattern.split(":")
+            service_re = r"[^:]+" if service == "*" else re.escape(service)
+            operation_re = re.escape(operation.rstrip("*")) + (".*" if operation.endswith("*") else "")
+            regex = re.compile(f"{service_re}:{operation_re}")
+        expected = [e for e in archive.events
+                    if e.kind is EventKind.API_CALL and regex.fullmatch(e.action)]
+        assert query(archive, QueryFilter(action_pattern=pattern)) == expected
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(EventError):

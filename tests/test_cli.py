@@ -15,6 +15,7 @@ from iamsim import (
     read_archive,
     write_archive,
 )
+from iamsim import cli
 from iamsim.cli import main
 
 from conftest import utc
@@ -74,6 +75,17 @@ class TestValidate:
         path.write_text(json.dumps(scenario), encoding="utf-8")
         code, out, err = run("--scenario", str(path), "validate")
         assert (code, out, err) == (2, "", "users[0].id: expected a string\n")
+
+    def test_unexpected_error_is_one_line_and_exit_two(
+        self, run, demo_scenario_path, monkeypatch
+    ):
+        def broken(args):
+            raise TypeError("unsupported operand\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code, out, err = run("--scenario", str(demo_scenario_path), "validate")
+        assert (code, out) == (2, "")
+        assert err == "internal error: TypeError('unsupported operand\\nsecond line')\n"
 
     def test_missing_file_is_io_failure(self, run, tmp_path):
         code, _, err = run("--scenario", str(tmp_path / "nope.json"), "validate")
@@ -203,6 +215,27 @@ class TestSimulate:
         )
         code, out, err = run("--scenario", str(sharing_scenario_path), "simulate", str(requests))
         assert code == 2 and out == "" and ":2:" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("action", ["s3:GetObject"], "request field 'action' must be a string, not list"),
+        ("user", 5, "request field 'user' must be a string, not int"),
+        ("context", {"a": 1}, "request field 'context' must map strings to strings"),
+    ])
+    def test_untyped_request_field_exits_two(
+        self, run, sharing_scenario_path, tmp_path, field, value, message
+    ):
+        request = {"user": "user-1", "account": "111111111111",
+                   "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s"}
+        requests = tmp_path / "reqs.jsonl"
+        requests.write_text(
+            json.dumps(request) + "\n" + json.dumps({**request, field: value}) + "\n",
+            encoding="utf-8",
+        )
+        log_path = tmp_path / "events.jsonl"
+        code, out, err = run("--scenario", str(sharing_scenario_path), "simulate",
+                             str(requests), "--emit-log", str(log_path))
+        assert (code, out, err) == (2, "", f"{requests}:2: {message}\n")
+        assert not log_path.exists()
 
     def test_emit_log_and_out_files(self, run, sharing_scenario_path, tmp_path):
         requests = tmp_path / "reqs.jsonl"

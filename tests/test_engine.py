@@ -53,6 +53,41 @@ def _with_extra_statement(org, stmt, rng):
     return dataclasses.replace(org, permission_sets=sets)
 
 
+# One user granted reads (and denied deletes) in account 111111111111, one
+# user with no grant, and buckets covering each of the four decision rules.
+RULES_SCENARIO = {
+    "organization": {
+        "management_account": "111111111111",
+        "root": {"name": "Root", "accounts": [
+            {"id": "111111111111", "name": "a"}, {"id": "222222222222", "name": "b"},
+        ]},
+    },
+    "users": [{"id": "u1"}, {"id": "u2"}],
+    "permission_sets": [{
+        "id": "reader",
+        "policies": [{"name": "read-no-delete", "document": {
+            "Version": "2012-10-17",
+            "Statement": [
+                {"Effect": "Allow", "Action": "s3:Get*", "Resource": "*"},
+                {"Effect": "Deny", "Action": "s3:Delete*", "Resource": "*"},
+            ],
+        }}],
+    }],
+    "assignments": [{"user": "u1", "account": "111111111111", "permission_set": "reader"}],
+    "resources": [
+        {"arn": "arn:aws:s3:::own", "owner_account": "111111111111"},
+        {"arn": "arn:aws:s3:::granted", "owner_account": "222222222222",
+         "resource_policy": {"Version": "2012-10-17", "Statement": [{
+             "Effect": "Allow", "Principal": ["u1", "u2"],
+             "Action": "s3:GetObject", "Resource": "arn:aws:s3:::granted",
+         }]}},
+        {"arn": "arn:aws:s3:::shared", "owner_account": "222222222222"},
+        {"arn": "arn:aws:s3:::closed", "owner_account": "222222222222"},
+    ],
+    "shares": [{"resource": "arn:aws:s3:::shared", "shared_with": ["111111111111"]}],
+}
+
+
 class TestDecisionRules:
     def test_same_account_identity_allow(self, sharing_org, sharing_requests):
         decision = authorize(sharing_org, sharing_requests[0])
@@ -138,6 +173,24 @@ class TestDecisionRules:
                 user="user-1", account="111111111111",
                 action="s3:GetObject", resource="arn:aws:s3:::*",
             ))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("action", ["s3:GetObject"], "request field 'action' must be a string, not list"),
+        ("user", 5, "request field 'user' must be a string, not int"),
+        ("account", None, "request field 'account' must be a string, not NoneType"),
+        ("resource", b"arn:aws:s3:::bucket-s",
+         "request field 'resource' must be a string, not bytes"),
+        ("context", {"a": 1}, "request field 'context' must map strings to strings"),
+        ("context", {1: "a"}, "request field 'context' must map strings to strings"),
+        ("context", [("a", "b")], "request field 'context' must map strings to strings"),
+    ])
+    def test_request_fields_are_typed(self, field, value, message):
+        fields = {"user": "user-1", "account": "111111111111",
+                  "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s"}
+        fields[field] = value
+        with pytest.raises(RequestError) as excinfo:
+            AccessRequest(**fields)
+        assert str(excinfo.value) == message
 
 
 class TestTraces:
@@ -225,6 +278,30 @@ class TestTraces:
         first = [explain(sharing_org, r) for r in sharing_requests]
         second = [explain(sharing_org, r) for r in sharing_requests]
         assert first == second
+
+    @pytest.mark.parametrize("user, action, resource, decision, rule", [
+        ("u1", "s3:DeleteObject", "arn:aws:s3:::own", "Deny (ExplicitDeny)",
+         "an explicit Deny statement matched the request"),
+        ("u1", "s3:GetObject", "arn:aws:s3:::own", "Allow (SameAccountAllow)",
+         "same-account request: a matching Allow statement grants access"),
+        ("u1", "s3:GetObject", "arn:aws:s3:::granted", "Allow (CrossAccountAllow)",
+         "cross-account request: identity Allow and resource-side grant both present"),
+        ("u1", "s3:GetObject", "arn:aws:s3:::shared", "Allow (CrossAccountAllow)",
+         "cross-account request: identity Allow and resource-side grant both present"),
+        ("u1", "s3:PutObject", "arn:aws:s3:::own", "Deny (ImplicitDeny)",
+         "same-account request: no matching Allow statement; denied by default"),
+        ("u1", "s3:GetObject", "arn:aws:s3:::closed", "Deny (ImplicitDeny)",
+         "cross-account request: identity Allow matched but the resource side grants "
+         "nothing (no matching resource Allow, no share); denied by default"),
+        ("u2", "s3:GetObject", "arn:aws:s3:::granted", "Deny (ImplicitDeny)",
+         "cross-account request: no matching identity Allow; denied by default"),
+    ])
+    def test_rule_line_text(self, user, action, resource, decision, rule):
+        org = build_org(RULES_SCENARIO)
+        lines = explain(org, AccessRequest(
+            user=user, account="111111111111", action=action, resource=resource,
+        )).splitlines()
+        assert lines[:3] == [f"decision: {decision}", f"rule: {rule}", "trace:"]
 
 
 class TestSimulate:

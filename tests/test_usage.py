@@ -134,6 +134,17 @@ class TestIndex:
                 api_event(utc(2024, 5, 1), "ghost", "ec2:StartInstances", "arn:x"),
             ])
 
+    def test_unknown_account_names_the_event(self):
+        org = build_org(report_scenario())
+        events = [
+            api_event(utc(2024, 5, 1), "dev", "ec2:StartInstances", "arn:x"),
+            api_event(utc(2024, 5, 2), "dev", "ec2:StartInstances", "arn:x",
+                      account="999999999999"),
+        ]
+        with pytest.raises(UsageError) as excinfo:
+            build_usage_index(org, events)
+        assert str(excinfo.value) == "event 1: unknown account: 999999999999"
+
     def test_denied_events_not_observed(self):
         org = build_org(report_scenario())
         index = build_usage_index(org, [
