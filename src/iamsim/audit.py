@@ -306,6 +306,10 @@ def query(archive: LogArchive, flt: QueryFilter) -> list[AuditEvent]:
     return out
 
 
+# Unix time of 0001-01-01T00:00:00Z; no bucket may start before it
+_YEAR_ONE = int(datetime.min.replace(tzinfo=timezone.utc).timestamp())
+
+
 @dataclass(frozen=True)
 class DeniedBucket:
     bucket_start: datetime
@@ -318,7 +322,8 @@ def denied_access_summary(archive: LogArchive, bucket: timedelta) -> list[Denied
     """Count Deny events per (time bucket, user, account).
 
     Buckets are aligned to the Unix epoch, so identical inputs always land
-    in identical cells; the counts partition the archive's Deny events.
+    in identical cells; the counts partition the archive's Deny events. A
+    bucket so wide that one would start before year 1 is an error.
     """
     if bucket <= timedelta(0):
         raise EventError("bucket duration must be positive")
@@ -330,8 +335,11 @@ def denied_access_summary(archive: LogArchive, bucket: timedelta) -> list[Denied
         if event.verdict is not Verdict.DENY:
             continue
         seconds = int(event.time.timestamp())
-        start = datetime.fromtimestamp(seconds - seconds % width, tz=timezone.utc)
-        key = (start, event.user, event.account)
+        start = seconds - seconds % width
+        if start < _YEAR_ONE:
+            raise EventError(f"the bucket of the event at {format_timestamp(event.time)} "
+                             f"would start before year 1")
+        key = (datetime.fromtimestamp(start, tz=timezone.utc), event.user, event.account)
         cells[key] = cells.get(key, 0) + 1
     return [
         DeniedBucket(bucket_start=k[0], user=k[1], account=k[2], count=v)

@@ -69,7 +69,10 @@ def _parse_bucket(text: str) -> timedelta:
     m = _BUCKET_RE.fullmatch(text)
     if not m:
         raise CliError(f"bad bucket duration {text!r}: expected e.g. 45s, 30m, 1h, 7d")
-    return timedelta(seconds=int(m.group(1)) * _BUCKET_UNITS[m.group(2)])
+    try:
+        return timedelta(seconds=int(m.group(1)) * _BUCKET_UNITS[m.group(2)])
+    except (OverflowError, ValueError):  # past timedelta's range, or too many digits
+        raise CliError(f"--bucket {text}: longer than the longest duration, 999999999d") from None
 
 
 def _parse_window(text: str) -> tuple:
@@ -195,7 +198,12 @@ def cmd_analyze_unused(args: argparse.Namespace) -> tuple[int, str]:
     org = _load_org(args)
     archive = read_archive(args.log)
     index = build_usage_index(org, archive.events)
-    entries = unused_report(index, org, parse_timestamp(args.as_of), args.threshold_days)
+    as_of = parse_timestamp(args.as_of)
+    try:
+        entries = unused_report(index, org, as_of, args.threshold_days)
+    except OverflowError:  # the cutoff, as-of minus the threshold, is before year 1
+        raise CliError(f"--threshold-days {args.threshold_days}: reaches back before year 1 "
+                       f"from --as-of {args.as_of}") from None
     if args.fmt == "json":
         return EXIT_OK, _dumps(unused_report_obj(entries)) + "\n"
     return EXIT_OK, render_unused_report(entries) + "\n"
@@ -270,7 +278,10 @@ def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_audit_denied(args: argparse.Namespace) -> tuple[int, str]:
     archive = read_archive(args.log)
-    cells = denied_access_summary(archive, _parse_bucket(args.bucket))
+    try:
+        cells = denied_access_summary(archive, _parse_bucket(args.bucket))
+    except EventError as exc:
+        raise CliError(f"--bucket {args.bucket}: {exc}") from None
     if args.fmt == "json":
         objs = [
             {

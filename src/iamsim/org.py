@@ -16,8 +16,9 @@ org pays the one-off build: about 50 ms for the benchmark's large org with
 Scenario files are single JSON documents (see :func:`build_org`) with the
 top-level keys ``organization``, ``users``, ``groups``, ``permission_sets``,
 ``assignments``, ``resources`` and ``shares``; policy documents are embedded
-verbatim in the policy grammar. Validation is exhaustive: every violation is
-reported, not just the first.
+verbatim in the policy grammar. The first structural fault (a wrong shape,
+an unknown or missing field, an unparsable policy) aborts the build; all
+referential and invariant violations are then listed together.
 """
 
 from __future__ import annotations
@@ -206,157 +207,131 @@ class Organization:
         return node
 
 
-def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
+_STRINGS = "list of strings"  # field type: a list whose items are all strings
+_REQUIRED = object()  # field default: the field must be present
+_LIST = (list, ())
+
+# record kind -> field -> (type, default), in check order. A type of str,
+# list or _STRINGS is checked by _record; None leaves it to build_org.
+_SPECS: dict[str, dict[str, tuple]] = {
+    "scenario": {"organization": (None, _REQUIRED), "users": _LIST, "groups": _LIST,
+                 "permission_sets": _LIST, "assignments": _LIST, "resources": _LIST,
+                 "shares": _LIST},
+    "organization": {"management_account": (str, _REQUIRED), "root": (None, _REQUIRED)},
+    "OU": {"name": (str, _REQUIRED), "accounts": _LIST, "children": _LIST},
+    "account": {"id": (str, _REQUIRED), "name": (str, None)},  # no name: the id
+    "user": {"id": (str, _REQUIRED), "display_name": (str, ""), "groups": (_STRINGS, ())},
+    "group": {"id": (str, _REQUIRED), "display_name": (str, "")},
+    "permission set": {"id": (str, _REQUIRED), "policies": _LIST},
+    "policy entry": {"name": (str, _REQUIRED), "document": (None, _REQUIRED)},
+    "assignment": {"user": (str, None), "group": (str, None), "account": (str, _REQUIRED),
+                   "permission_set": (str, _REQUIRED)},
+    "resource": {"arn": (str, _REQUIRED), "owner_account": (str, _REQUIRED),
+                 "resource_policy": (None, None)},
+    "share": {"resource": (str, _REQUIRED), "shared_with": (_STRINGS, _REQUIRED)},
+}
+_REQUIRED_FIELDS = {kind: frozenset(f for f, (_, default) in spec.items() if default is _REQUIRED)
+                    for kind, spec in _SPECS.items()}
+
+
+def _record(obj: object, kind: str, where: str) -> dict:
+    """Check one record against its spec; return its fields, defaults filled in."""
+    if not isinstance(obj, dict):
         raise ScenarioError([f"{where}: expected an object"])
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
+    spec = _SPECS[kind]
+    if not obj.keys() <= spec.keys():
+        unknown = sorted(obj.keys() - spec.keys())
         raise ScenarioError([f"{where}: unknown field(s) {', '.join(unknown)}"])
-    missing = sorted(required - set(obj))
-    if missing:
+    if not obj.keys() >= _REQUIRED_FIELDS[kind]:
+        missing = sorted(_REQUIRED_FIELDS[kind] - obj.keys())
         raise ScenarioError([f"{where}: missing field(s) {', '.join(missing)}"])
+    out = {}
+    for field, (type_, default) in spec.items():
+        if field not in obj:
+            out[field] = default
+            continue
+        value = out[field] = obj[field]
+        if type_ is str:
+            if not isinstance(value, str):
+                raise ScenarioError([f"{where}.{field}: expected a string"])
+        elif type_ is not None:
+            if not isinstance(value, list):
+                raise ScenarioError([f"{where}.{field}: expected a list"])
+            if type_ is _STRINGS and not all(isinstance(v, str) for v in value):
+                raise ScenarioError([f"{where}.{field}: expected a list of strings"])
+    return out
 
 
-def _list_field(obj: Mapping, key: str, where: str, of_strings: bool = False) -> list:
-    """The optional list at ``obj[key]`` (empty when absent); a string or
-    other non-list value is rejected rather than iterated."""
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise ScenarioError([f"{where}.{key}: expected a list"])
-    if of_strings and not all(isinstance(v, str) for v in value):
-        raise ScenarioError([f"{where}.{key}: expected a list of strings"])
-    return value
+def _records(items: list, kind: str, where: str) -> Iterator[tuple[str, dict]]:
+    for i, obj in enumerate(items):
+        yield f"{where}[{i}]", _record(obj, kind, f"{where}[{i}]")
 
 
-def _str_field(obj: Mapping, key: str, where: str, default: str | None = None) -> str:
-    """The string at ``obj[key]`` (``default`` when absent, if given); a
-    number, list or other non-string value is rejected."""
-    value = obj[key] if default is None else obj.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioError([f"{where}.{key}: expected a string"])
-    return value
-
-
-def _parse_account(obj: object, where: str) -> Account:
-    if isinstance(obj, str):
-        return Account(id=obj, name=obj)
-    _require_keys(obj, {"id", "name"}, {"id"}, where)
-    account_id = _str_field(obj, "id", where)
-    return Account(id=account_id, name=_str_field(obj, "name", where, account_id))
-
-
-def _parse_ou(obj: Mapping, where: str) -> OrgUnit:
-    _require_keys(obj, {"name", "accounts", "children"}, {"name"}, where)
-    accounts = tuple(
-        _parse_account(a, f"{where}.accounts[{i}]")
-        for i, a in enumerate(_list_field(obj, "accounts", where))
-    )
-    children = tuple(
-        _parse_ou(c, f"{where}.children[{i}]")
-        for i, c in enumerate(_list_field(obj, "children", where))
-    )
-    return OrgUnit(name=_str_field(obj, "name", where), accounts=accounts, children=children)
+def _build_ou(obj: object, where: str) -> OrgUnit:
+    ou = _record(obj, "OU", where)
+    accounts = []
+    for i, acct in enumerate(ou["accounts"]):
+        if isinstance(acct, str):  # shorthand for {"id": acct}
+            acct = {"id": acct, "name": None}
+        else:
+            acct = _record(acct, "account", f"{where}.accounts[{i}]")
+        accounts.append(Account(acct["id"], acct["id"] if acct["name"] is None else acct["name"]))
+    children = tuple(_build_ou(c, f"{where}.children[{i}]") for i, c in enumerate(ou["children"]))
+    return OrgUnit(name=ou["name"], accounts=tuple(accounts), children=children)
 
 
 def _parse_embedded_policy(obj: object, name: str, where: str) -> PolicyDocument:
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, dict):
         raise ScenarioError([f"{where}: policy document must be an object"])
     try:
-        return parse_policy(json.dumps(obj), name=name)
+        return parse_policy(obj, name=name)
     except PolicyParseError as exc:
         raise ScenarioError([f"{where}: {exc}"]) from exc
 
 
-_TOP_KEYS = {
-    "organization",
-    "users",
-    "groups",
-    "permission_sets",
-    "assignments",
-    "resources",
-    "shares",
-}
+def build_org(scenario: dict) -> Organization:
+    """Build and validate an organization from a JSON-decoded scenario.
 
-
-def build_org(scenario: Mapping) -> Organization:
-    """Build and validate an organization from a parsed scenario document.
-
-    Structural problems (wrong shapes, unparsable policies) abort early;
-    referential and invariant violations are collected and raised together
-    so a bad scenario is diagnosed in one pass.
+    Records are the ``dict``, ``list`` and ``str`` values :func:`json.loads`
+    makes; other mappings and sequences, tuples included, are rejected. The
+    first structural fault aborts; referential and invariant violations are
+    collected and raised together, so a bad scenario is diagnosed in one pass.
     """
-    _require_keys(scenario, _TOP_KEYS, {"organization"}, "scenario")
-    org_obj = scenario["organization"]
-    _require_keys(org_obj, {"management_account", "root"}, {"management_account", "root"},
-                  "scenario.organization")
-    root = _parse_ou(org_obj["root"], "organization.root")
-
-    users = []
-    for i, u in enumerate(_list_field(scenario, "users", "scenario")):
-        _require_keys(u, {"id", "display_name", "groups"}, {"id"}, f"users[{i}]")
-        users.append(SsoUser(
-            id=_str_field(u, "id", f"users[{i}]"),
-            display_name=_str_field(u, "display_name", f"users[{i}]", ""),
-            groups=tuple(_list_field(u, "groups", f"users[{i}]", of_strings=True)),
+    top = _record(scenario, "scenario", "scenario")
+    org_obj = _record(top["organization"], "organization", "scenario.organization")
+    root = _build_ou(org_obj["root"], "organization.root")
+    users = [SsoUser(id=u["id"], display_name=u["display_name"], groups=tuple(u["groups"]))
+             for _, u in _records(top["users"], "user", "users")]
+    groups = [SsoGroup(id=g["id"], display_name=g["display_name"])
+              for _, g in _records(top["groups"], "group", "groups")]
+    permission_sets = [
+        PermissionSet(id=p["id"], policies=tuple(
+            _parse_embedded_policy(e["document"], e["name"], where)
+            for where, e in _records(p["policies"], "policy entry", f"{ps_where}.policies")
         ))
-
-    groups = []
-    for i, g in enumerate(_list_field(scenario, "groups", "scenario")):
-        _require_keys(g, {"id", "display_name"}, {"id"}, f"groups[{i}]")
-        groups.append(SsoGroup(id=_str_field(g, "id", f"groups[{i}]"),
-                               display_name=_str_field(g, "display_name", f"groups[{i}]", "")))
-
-    permission_sets = []
-    for i, p in enumerate(_list_field(scenario, "permission_sets", "scenario")):
-        _require_keys(p, {"id", "policies"}, {"id"}, f"permission_sets[{i}]")
-        policies = []
-        for j, pol in enumerate(_list_field(p, "policies", f"permission_sets[{i}]")):
-            where = f"permission_sets[{i}].policies[{j}]"
-            _require_keys(pol, {"name", "document"}, {"name", "document"}, where)
-            policies.append(_parse_embedded_policy(
-                pol["document"], _str_field(pol, "name", where), where))
-        permission_sets.append(PermissionSet(id=_str_field(p, "id", f"permission_sets[{i}]"),
-                                             policies=tuple(policies)))
+        for ps_where, p in _records(top["permission_sets"], "permission set", "permission_sets")
+    ]
 
     assignments = []
-    for i, a in enumerate(_list_field(scenario, "assignments", "scenario")):
-        where = f"assignments[{i}]"
-        _require_keys(a, {"user", "group", "account", "permission_set"},
-                      {"account", "permission_set"}, where)
-        if ("user" in a) == ("group" in a):
+    for where, a in _records(top["assignments"], "assignment", "assignments"):
+        if (a["user"] is None) == (a["group"] is None):
             raise ScenarioError([f"{where}: exactly one of 'user' or 'group' is required"])
-        kind = "user" if "user" in a else "group"
-        assignments.append(Assignment(
-            subject_kind=kind,
-            subject=_str_field(a, kind, where),
-            account=_str_field(a, "account", where),
-            permission_set=_str_field(a, "permission_set", where),
-        ))
+        kind = "user" if a["group"] is None else "group"
+        assignments.append(Assignment(kind, a[kind], a["account"], a["permission_set"]))
 
     resources = []
-    for i, r in enumerate(_list_field(scenario, "resources", "scenario")):
-        where = f"resources[{i}]"
-        _require_keys(r, {"arn", "owner_account", "resource_policy"},
-                      {"arn", "owner_account"}, where)
-        arn = _str_field(r, "arn", where)
-        policy = None
-        if r.get("resource_policy") is not None:
-            policy = _parse_embedded_policy(r["resource_policy"], f"resource-policy:{arn}", where)
-        resources.append(Resource(
-            arn=arn, owner_account=_str_field(r, "owner_account", where), resource_policy=policy,
-        ))
+    for where, r in _records(top["resources"], "resource", "resources"):
+        policy = r["resource_policy"]  # null is the same as absent
+        if policy is not None:
+            policy = _parse_embedded_policy(policy, f"resource-policy:{r['arn']}", where)
+        resources.append(Resource(r["arn"], r["owner_account"], policy))
 
-    shares = []
-    for i, s in enumerate(_list_field(scenario, "shares", "scenario")):
-        where = f"shares[{i}]"
-        _require_keys(s, {"resource", "shared_with"}, {"resource", "shared_with"}, where)
-        shared_with = _list_field(s, "shared_with", where, of_strings=True)
-        shares.append(ResourceShare(resource=_str_field(s, "resource", where),
-                                    shared_with=tuple(shared_with)))
+    shares = [ResourceShare(resource=s["resource"], shared_with=tuple(s["shared_with"]))
+              for _, s in _records(top["shares"], "share", "shares")]
 
     org = Organization(
         root=root,
-        management_account=_str_field(org_obj, "management_account", "scenario.organization"),
+        management_account=org_obj["management_account"],
         users=tuple(sorted(users, key=lambda u: u.id)),
         groups=tuple(sorted(groups, key=lambda g: g.id)),
         permission_sets=tuple(sorted(permission_sets, key=lambda p: p.id)),

@@ -310,16 +310,20 @@ def _parse_statement(obj: object, index: int) -> Statement:
     )
 
 
-def parse_policy(text: str, name: str = "policy") -> PolicyDocument:
-    """Parse a policy JSON document, rejecting anything outside the grammar.
+def parse_policy(text: str | dict, name: str = "policy") -> PolicyDocument:
+    """Parse a policy document, rejecting anything outside the grammar.
 
-    Single-string ``Action`` / ``Resource`` / ``Principal`` values are
-    normalized to one-element lists; statement order is preserved.
+    ``text`` is JSON text or the object :func:`json.loads` makes of it;
+    both give the same document or the same error. Single-string
+    ``Action`` / ``Resource`` / ``Principal`` values are normalized to
+    one-element lists; statement order is preserved.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolicyParseError(f"malformed JSON: {exc}") from exc
+    raw = text
+    if isinstance(text, str):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PolicyParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PolicyParseError("policy document must be a JSON object")
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)

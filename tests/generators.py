@@ -8,6 +8,7 @@ deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import copy
 import random
 
 from hypothesis import strategies as st
@@ -117,6 +118,48 @@ policy_objs = st.builds(
     lambda stmts: {"Version": "2012-10-17", "Statement": stmts},
     st.lists(statement_objs, max_size=4),
 )
+
+
+# ---------------------------------------------------------------------------
+# single mutations of decoded JSON documents
+
+JSON_JUNK = (5, None, "x", [], {}, ["x"], [5])
+JSON_KEYS = ("x", "id", "name", "user", "group", "context", "resource_policy", "Condition")
+
+
+def json_slots(value) -> list:
+    """(container, key) for every value nested in a decoded JSON value."""
+    slots, stack = [], [value]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            for key in (list(node) if isinstance(node, dict) else range(len(node))):
+                slots.append((node, key))
+                stack.append(node[key])
+    return slots
+
+
+def mutate_json(value, draw):
+    """Return ``value`` after one mutation drawn with ``draw`` (a hypothesis
+    ``data.draw``): some node, or the whole value, replaced by a junk value,
+    an object key dropped, or an object key added. Mutates in place."""
+    slots = json_slots(value)
+    objects = [node for node in [value, *(n[k] for n, k in slots)] if isinstance(node, dict)]
+    keyed = [(node, key) for node, key in slots if isinstance(node, dict)]
+    op = draw(st.sampled_from(["replace", "drop", "add"] if keyed else ["replace", "add"]))
+    junk = copy.deepcopy(draw(st.sampled_from(JSON_JUNK)))
+    if op == "add" and objects:
+        draw(st.sampled_from(objects))[draw(st.sampled_from(JSON_KEYS))] = junk
+    elif op == "drop":
+        node, key = draw(st.sampled_from(keyed))
+        del node[key]
+    else:
+        index = draw(st.integers(0, len(slots)))
+        if index == len(slots):
+            return junk
+        node, key = slots[index]
+        node[key] = junk
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -482,3 +482,48 @@ class TestDeterminism:
         first = run(*args)
         second = run(*args)
         assert first == second
+
+
+class TestFlagRanges:
+    """A flag whose value reaches past the representable dates is named."""
+
+    @staticmethod
+    def _one_event_log(tmp_path, time):
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps({
+            "time": time, "kind": "ApiCall", "user": "user-1", "account": "111111111111",
+            "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+            "verdict": "Deny", "source": "111111111111",
+        }) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("as_of, days", [
+        ("2024-06-01T00:00:00Z", "9999999999"),
+        ("0001-01-01T00:00:00Z", "1"),
+    ])
+    def test_threshold_days_before_year_one(self, run, sharing_scenario_path, tmp_path,
+                                            as_of, days):
+        log = self._one_event_log(tmp_path, "2024-01-01T00:00:00Z")
+        code, out, err = run("--scenario", str(sharing_scenario_path), "analyze", "unused",
+                             str(log), "--as-of", as_of, "--threshold-days", days)
+        assert (code, out) == (2, "")
+        assert err == f"--threshold-days {days}: reaches back before year 1 from --as-of {as_of}\n"
+
+    @pytest.mark.parametrize("bucket, time, message", [
+        ("99999999999999d", "2024-01-01T00:00:00Z",
+         "longer than the longest duration, 999999999d"),
+        ("9" * 5000 + "s", "2024-01-01T00:00:00Z",
+         "longer than the longest duration, 999999999d"),
+        ("800000d", "1960-01-01T00:00:00Z",
+         "the bucket of the event at 1960-01-01T00:00:00Z would start before year 1"),
+    ], ids=["past-timedelta", "5000-digits", "before-year-one"])
+    def test_bucket_out_of_range(self, run, tmp_path, bucket, time, message):
+        log = self._one_event_log(tmp_path, time)
+        code, out, err = run("audit", "denied-summary", str(log), "--bucket", bucket)
+        assert (code, out) == (2, "")
+        assert err == f"--bucket {bucket}: {message}\n"
+
+    def test_widest_bucket_after_the_epoch(self, run, tmp_path):
+        log = self._one_event_log(tmp_path, "2024-01-01T00:00:00Z")
+        code, out, _ = run("audit", "denied-summary", str(log), "--bucket", "999999999d")
+        assert (code, out) == (0, "1970-01-01T00:00:00Z user=user-1 account=111111111111 denies=1\n")

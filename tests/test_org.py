@@ -19,11 +19,59 @@ from iamsim import (
     shares_covering,
     validate_org,
 )
-from iamsim.org import Assignment, ResourceShare, resolve_permission_set_ids
+from iamsim.org import (
+    Account,
+    Assignment,
+    PermissionSet,
+    Resource,
+    ResourceShare,
+    SsoGroup,
+    SsoUser,
+    resolve_permission_set_ids,
+)
 from iamsim.policy import parse_policy
 from iamsim.usage import install_sole_permission_set
 
 from generators import REQUEST_RESOURCES, random_org, random_scenario
+
+# one record of each kind in the demo scenario, and the prefix its
+# structural errors are reported under
+RECORDS = [
+    ((), "scenario"),
+    (("organization",), "scenario.organization"),
+    (("organization", "root"), "organization.root"),
+    (("organization", "root", "children", 0), "organization.root.children[0]"),
+    (("organization", "root", "accounts", 0), "organization.root.accounts[0]"),
+    (("users", 0), "users[0]"),
+    (("groups", 0), "groups[0]"),
+    (("permission_sets", 0), "permission_sets[0]"),
+    (("permission_sets", 0, "policies", 0), "permission_sets[0].policies[0]"),
+    (("assignments", 0), "assignments[0]"),
+    (("resources", 0), "resources[0]"),
+    (("shares", 0), "shares[0]"),
+]
+
+# the required fields of each record kind, by the last part of its prefix
+REQUIRED = {
+    "scenario": {"organization"},
+    "organization": {"management_account", "root"},
+    "root": {"name"},
+    "children": {"name"},
+    "accounts": {"id"},
+    "users": {"id"},
+    "groups": {"id"},
+    "permission_sets": {"id"},
+    "policies": {"name", "document"},
+    "assignments": {"account", "permission_set"},
+    "resources": {"arn", "owner_account"},
+    "shares": {"resource", "shared_with"},
+}
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
 
 
 def minimal_scenario():
@@ -145,11 +193,129 @@ class TestBuild:
             build_org(scenario)
         assert err.value.violations == [f"{section}[0].{field}: expected {expected}"]
 
+    @pytest.mark.parametrize("path, where, field", [
+        ((), "scenario", "users"),
+        ((), "scenario", "groups"),
+        ((), "scenario", "permission_sets"),
+        ((), "scenario", "assignments"),
+        ((), "scenario", "resources"),
+        ((), "scenario", "shares"),
+        (("organization", "root"), "organization.root", "accounts"),
+        (("organization", "root"), "organization.root", "children"),
+        (("permission_sets", 0), "permission_sets[0]", "policies"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", {}, None])
+    def test_list_fields_are_typed(self, demo_scenario_path, path, where, field, value):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        _at(scenario, path)[field] = value
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}.{field}: expected a list"]
+
+    @pytest.mark.parametrize("path, where", RECORDS)
+    @pytest.mark.parametrize("value", [5, None, []])
+    def test_records_must_be_objects(self, demo_scenario_path, path, where, value):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        if path:
+            _at(scenario, path[:-1])[path[-1]] = value
+        else:
+            scenario = value
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}: expected an object"]
+
+    @pytest.mark.parametrize("path, where", RECORDS)
+    def test_unknown_fields_are_listed_sorted(self, demo_scenario_path, path, where):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        record = _at(scenario, path)
+        record["zz"] = record["aa"] = "x"
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}: unknown field(s) aa, zz"]
+
+    @pytest.mark.parametrize("path, where", RECORDS)
+    def test_missing_fields_are_listed_sorted(self, demo_scenario_path, path, where):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        record = _at(scenario, path)
+        required = sorted(REQUIRED[where.split(".")[-1].split("[")[0]])
+        for key in required:
+            del record[key]
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}: missing field(s) {', '.join(required)}"]
+
+    @pytest.mark.parametrize("subject", [
+        {},
+        {"user": "ava", "group": "red-frontend"},
+    ])
+    def test_assignment_needs_exactly_one_subject(self, demo_scenario_path, subject):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        assignment = scenario["assignments"][0]
+        del assignment["group"]
+        assignment.update(subject)
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [
+            "assignments[0]: exactly one of 'user' or 'group' is required"]
+
+    @pytest.mark.parametrize("path, field, where", [
+        (("permission_sets", 0, "policies", 0), "document", "permission_sets[0].policies[0]"),
+        (("resources", 0), "resource_policy", "resources[0]"),
+    ])
+    @pytest.mark.parametrize("value", [5, "x", [], ["x"]])
+    def test_policy_document_must_be_an_object(self, demo_scenario_path, path, field, where,
+                                               value):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        _at(scenario, path)[field] = value
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}: policy document must be an object"]
+
+    @pytest.mark.parametrize("path, where", [
+        (("permission_sets", 0, "policies", 0, "document"), "permission_sets[0].policies[0]"),
+        (("resources", 0, "resource_policy"), "resources[0]"),
+    ])
+    def test_embedded_policy_errors_are_prefixed(self, demo_scenario_path, path, where):
+        scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        del _at(scenario, path)["Statement"][0]["Effect"]
+        with pytest.raises(ScenarioError) as err:
+            build_org(scenario)
+        assert err.value.violations == [f"{where}: statement 0: missing Effect"]
+
     def test_string_accounts_rejected(self):
         scenario = minimal_scenario()
         scenario["organization"]["root"]["accounts"] = "000000000042"
         with pytest.raises(ScenarioError, match=r"organization\.root\.accounts: expected a list"):
             build_org(scenario)
+
+    def test_account_string_shorthand(self):
+        scenario = minimal_scenario()
+        scenario["organization"]["root"]["accounts"] = ["000000000042"]
+        assert build_org(scenario).accounts == (Account("000000000042", "000000000042"),)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({}, "000000000042"),
+        ({"name": ""}, ""),
+        ({"name": "mgmt"}, "mgmt"),
+    ])
+    def test_account_name_defaults_to_id_only_when_absent(self, fields, name):
+        scenario = minimal_scenario()
+        scenario["organization"]["root"]["accounts"] = [{"id": "000000000042", **fields}]
+        assert build_org(scenario).accounts == (Account("000000000042", name),)
+
+    def test_optional_fields_take_their_defaults(self):
+        scenario = minimal_scenario()
+        scenario["groups"] = [{"id": "g"}]
+        scenario["users"] = [{"id": "u"}]
+        scenario["permission_sets"] = [{"id": "p"}]
+        scenario["resources"] = [{"arn": "arn:aws:s3:::b", "owner_account": "000000000042",
+                                  "resource_policy": None}]
+        org = build_org(scenario)
+        assert org.groups == (SsoGroup("g", ""),)
+        assert org.users == (SsoUser("u", "", ()),)
+        assert org.permission_sets == (PermissionSet("p", ()),)
+        assert org.resources == (Resource("arn:aws:s3:::b", "000000000042", None),)
+        assert org.root.children == ()
 
     @pytest.mark.parametrize("path, where, field", [
         (("users", 0), "users[0]", "id"),
@@ -171,9 +337,7 @@ class TestBuild:
     @pytest.mark.parametrize("value", [5, ["x"], None])
     def test_scalar_fields_are_typed(self, demo_scenario_path, path, where, field, value):
         scenario = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
-        obj = scenario
-        for key in path:
-            obj = obj[key]
+        obj = _at(scenario, path)
         assert isinstance(obj[field], str)
         obj[field] = value
         with pytest.raises(ScenarioError) as err:
@@ -418,3 +582,28 @@ def test_export_rebuild_identity_on_random_orgs():
     for _ in range(25):
         org = build_org(random_scenario(rng))
         assert build_org(export_scenario(org)) == org
+
+
+def test_readme_field_table_matches_specs():
+    """The README's scenario field table lists every field of _SPECS, in order."""
+    from pathlib import Path
+
+    from iamsim.org import _REQUIRED, _SPECS, _STRINGS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ") and "`" in line]
+    assert [(kind, field.strip("`")) for kind, field, _, _ in rows] == [
+        (kind, field) for kind, spec in _SPECS.items() for field in spec]
+    for kind, field, type_text, default_text in rows:
+        type_, default = _SPECS[kind][field.strip("`")]
+        assert (default_text == "required") == (default is _REQUIRED), (kind, field)
+        if type_ is str:
+            assert type_text == "string", (kind, field)
+        elif type_ is _STRINGS:
+            assert type_text == "list of strings", (kind, field)
+        elif type_ is list:
+            assert type_text.startswith("list of ") and type_text != "list of strings"
+        else:
+            assert "object" in type_text, (kind, field)

@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iamsim import (
@@ -30,6 +30,7 @@ from generators import (
     concrete_actions,
     glob_patterns,
     glob_texts,
+    mutate_json,
     policy_objs,
 )
 
@@ -136,6 +137,27 @@ class TestParse:
             obj["Statement"][0]["Condition"] = {"DateGreaterThan": {"t": ["2024"]}}
         with pytest.raises(PolicyParseError):
             parse_policy(json.dumps(obj))
+
+    @given(policy_objs, st.data())
+    def test_object_parses_like_its_text(self, obj, data):
+        """A decoded document gives the same result, or error text, as its JSON."""
+        if data.draw(st.booleans()):
+            obj = mutate_json(obj, data.draw)
+        assume(not isinstance(obj, str))  # a string argument is always JSON text
+
+        def outcome(source):
+            try:
+                return parse_policy(source, name="p")
+            except PolicyParseError as exc:
+                return f"error: {exc}"
+
+        assert outcome(obj) == outcome(json.dumps(obj))
+
+    @pytest.mark.parametrize("source", [5, None, ["x"], True, 1.5, ("Version",)])
+    def test_non_object_argument_rejected(self, source):
+        with pytest.raises(PolicyParseError) as err:
+            parse_policy(source)
+        assert str(err.value) == "policy document must be a JSON object"
 
     def test_single_string_fields_normalize_to_lists(self):
         doc = parse_policy(json.dumps({
