@@ -244,7 +244,7 @@ def read_archive(path) -> LogArchive:
                 continue
             try:
                 events.append(event_from_obj(json.loads(line)))
-            except (json.JSONDecodeError, EventError) as exc:
+            except (json.JSONDecodeError, RecursionError, EventError) as exc:
                 raise EventError(f"{path}:{lineno}: {exc}") from exc
     return archive_from_events(events)
 

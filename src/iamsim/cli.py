@@ -83,9 +83,9 @@ def _parse_window(text: str) -> tuple:
 
 
 def _parse_principal(text: str) -> tuple[str, str]:
-    if "@" not in text:
+    user, _, account = text.rpartition("@")
+    if not user or not account:
         raise CliError(f"bad principal {text!r}: expected USER@ACCOUNT")
-    user, account = text.rsplit("@", 1)
     return user, account
 
 
@@ -113,7 +113,7 @@ def _read_requests(path: str) -> list[AccessRequest]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
                 raise CliError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CliError(f"{path}:{lineno}: request must be an object")

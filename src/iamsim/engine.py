@@ -29,15 +29,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .audit import AuditEvent, EventKind
 from .org import Organization, resolve_permission_set_ids, shares_covering
-from .policy import (
-    Effect,
-    Statement,
-    Verdict,
-    action_matches,
-    condition_holds,
-    resource_matches,
-    split_action,
-)
+from .policy import Effect, Statement, Verdict, condition_holds, split_action
+
+# perfbench/tracer.py (its SITES table) patches action_matches, resource_matches
+# and condition_holds in this module and fails at install if one is missing.
+# Statements match through their own lowered patterns, so the first two stay
+# bound here unused.
+from .policy import action_matches, resource_matches  # noqa: F401
 
 #: Base timestamp for synthetic audit events emitted by batch simulation.
 #: Requests carry no time of their own; a fixed epoch plus one second per
@@ -160,8 +158,8 @@ def _trace_statement(
         policy=policy_name,
         statement_index=index,
         effect=stmt.effect,
-        action_match=any(action_matches(p, request.action) for p in stmt.actions),
-        resource_match=any(resource_matches(p, request.resource) for p in stmt.resources),
+        action_match=stmt.action_match(request.action),
+        resource_match=stmt.resource_match(request.resource),
         condition_match=condition_holds(stmt.condition, request.context),
         principal_match=principal,
     )

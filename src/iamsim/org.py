@@ -471,7 +471,7 @@ def load_scenario(path) -> Organization:
         text = fh.read()
     try:
         scenario = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
         raise ScenarioError([f"{path}: malformed JSON: {exc}"]) from exc
     return build_org(scenario)
 

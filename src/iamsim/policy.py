@@ -14,6 +14,17 @@ Action patterns are ranked on a four-step specificity ladder (see
 :class:`ActionLevel`), and concrete actions can be widened back up the
 ladder with :func:`generalize_action`, which consults a configurable table
 classifying operation verbs as read or write.
+
+Every pattern lowers to a form plain string operations can test. An action
+pattern is an exact text (``s3:GetObject``) or a prefix: ``""`` for ``*:*``,
+``"s3:"`` for ``s3:*`` and ``"s3:Get"`` for ``s3:Get*``; a concrete action has
+exactly one ``:``, so ``startswith`` on that prefix is the whole test. A
+resource pattern is a literal arn, a prefix when its only ``*`` is the last
+character (so ``*`` lowers to ``""``), or else a residual :func:`glob_match`
+pattern. :func:`action_matches` and :func:`resource_matches` apply the
+lowering to one pattern; a :class:`Statement` gathers the lowered forms of
+all its patterns on its first match, so a whole statement is tested with two
+set lookups, two ``str.startswith(tuple)`` calls and the residual globs.
 """
 
 from __future__ import annotations
@@ -138,6 +149,16 @@ class ActionPattern:
     def text(self) -> str:
         return f"{self.service}:{self.operation_pattern}"
 
+    @property
+    def prefix(self) -> str | None:
+        """What every matching concrete action starts with, or None when the
+        pattern is exact and only its :attr:`text` matches."""
+        if self.service == "*":
+            return ""
+        if self.operation_pattern.endswith("*"):
+            return f"{self.service}:{self.operation_pattern[:-1]}"
+        return None
+
     def __str__(self) -> str:
         return self.text
 
@@ -152,7 +173,21 @@ class ResourcePattern:
         if not isinstance(self.pattern, str) or not self.pattern:
             raise PolicyParseError("resource pattern must be a non-empty string")
 
+    @property
+    def kind(self) -> str:
+        """``"literal"`` without ``*``, ``"prefix"`` when the only ``*`` is the
+        last character, else ``"glob"``."""
+        star = self.pattern.find("*")
+        if star < 0:
+            return "literal"
+        return "prefix" if star == len(self.pattern) - 1 else "glob"
+
     def matches(self, arn: str) -> bool:
+        kind = self.kind
+        if kind == "literal":
+            return arn == self.pattern
+        if kind == "prefix":
+            return arn.startswith(self.pattern[:-1])
         return glob_match(self.pattern, arn)
 
     def __str__(self) -> str:
@@ -223,6 +258,34 @@ class Statement:
             raise PolicyParseError("statement has an empty resource list")
         if self.principals is not None and not self.principals:
             raise PolicyParseError("principal list, when present, must be non-empty")
+
+    # The lowered patterns are built on the first match, not at parse time,
+    # so loading a scenario pays nothing for statements no request reaches.
+    @functools.cached_property
+    def _action_parts(self) -> tuple[frozenset[str], tuple[str, ...]]:
+        exact = frozenset(p.text for p in self.actions if p.prefix is None)
+        return exact, tuple(p.prefix for p in self.actions if p.prefix is not None)
+
+    @functools.cached_property
+    def _resource_parts(self) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
+        by_kind: dict[str, list[str]] = {"literal": [], "prefix": [], "glob": []}
+        for p in self.resources:
+            by_kind[p.kind].append(p.pattern)
+        return (frozenset(by_kind["literal"]),
+                tuple(p[:-1] for p in by_kind["prefix"]),
+                tuple(by_kind["glob"]))
+
+    def action_match(self, action: str) -> bool:
+        """True iff some action pattern matches the concrete ``action``,
+        which the caller has checked (see :func:`split_action`)."""
+        exact, prefixes = self._action_parts
+        return action in exact or action.startswith(prefixes)
+
+    def resource_match(self, arn: str) -> bool:
+        """True iff some resource pattern matches the concrete ``arn``."""
+        literal, prefixes, globs = self._resource_parts
+        return (arn in literal or arn.startswith(prefixes)
+                or any(glob_match(g, arn) for g in globs))
 
 
 @dataclass(frozen=True)
@@ -322,7 +385,7 @@ def parse_policy(text: str | dict, name: str = "policy") -> PolicyDocument:
     if isinstance(text, str):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
             raise PolicyParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PolicyParseError("policy document must be a JSON object")
@@ -381,17 +444,9 @@ def action_matches(pattern: Union[ActionPattern, str], action: str) -> bool:
     """True iff the concrete ``action`` is in the pattern's language."""
     if isinstance(pattern, str):
         pattern = ActionPattern.parse(pattern)
-    service, operation = split_action(action)
-    if pattern.service == "*":
-        return True
-    if pattern.service != service:
-        return False
-    op = pattern.operation_pattern
-    if op == "*":
-        return True
-    if op.endswith("*"):
-        return operation.startswith(op[:-1])
-    return operation == op
+    split_action(action)
+    prefix = pattern.prefix
+    return action == pattern.text if prefix is None else action.startswith(prefix)
 
 
 def resource_matches(pattern: Union[ResourcePattern, str], arn: str) -> bool:

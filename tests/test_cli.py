@@ -371,6 +371,52 @@ class TestAnalyze:
         )
         assert code == 2 and out == "" and "no observations" in err
 
+    @pytest.mark.parametrize("principal", ["@", "user-1@", "@111111111111", "user-1"])
+    def test_generate_rejects_principal_without_both_parts(
+        self, run, sharing_scenario_path, tmp_path, principal
+    ):
+        log = self._emitted_log(run, sharing_scenario_path, tmp_path)
+        code, out, err = run(
+            "--scenario", str(sharing_scenario_path),
+            "analyze", "generate", str(log), "--principal", principal, "--level", "4",
+            "--window", "2024-01-01T00:00:00Z..2024-01-02T00:00:00Z",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"bad principal {principal!r}: expected USER@ACCOUNT\n"
+
+
+class TestDeepJson:
+    """JSON nested past the decoder's depth is malformed input, reported
+    naming the file (and line) like any other decode error."""
+
+    DEEP_LINE = "[" * 100_000 + "]" * 100_000 + "\n"
+
+    def _assert_one_line(self, code, out, err, where):
+        assert (code, out) == (2, "")
+        assert err.startswith(where) and err.count("\n") == 1
+        assert "internal error" not in err
+
+    def test_scenario_with_deep_ou_tree(self, run, sharing_scenario_path, tmp_path):
+        scenario = json.loads(sharing_scenario_path.read_text(encoding="utf-8"))
+        scenario["organization"]["root"]["children"] = "OUS"
+        ous = '[{"name": "ou", "children": ' * 495 + "[]" + "}]" * 495
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(scenario).replace('"OUS"', ous), encoding="utf-8")
+        code, out, err = run("--scenario", str(path), "validate")
+        self._assert_one_line(code, out, err, f"{path}: malformed JSON: ")
+
+    def test_requests_file(self, run, sharing_scenario_path, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(self.DEEP_LINE, encoding="utf-8")
+        code, out, err = run("--scenario", str(sharing_scenario_path), "simulate", str(path))
+        self._assert_one_line(code, out, err, f"{path}:1: malformed JSON: ")
+
+    def test_log_file(self, run, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(self.DEEP_LINE, encoding="utf-8")
+        code, out, err = run("audit", "query", str(path))
+        self._assert_one_line(code, out, err, f"{path}:1: ")
+
 
 def _account_log(tmp_path, account, events):
     path = tmp_path / f"{account}.jsonl"

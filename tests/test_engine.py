@@ -223,6 +223,23 @@ class TestTraces:
             keys = [(t.side, t.origin, t.policy, t.statement_index) for t in trace]
             assert len(keys) == len(set(keys))
 
+    def test_trace_booleans_are_bools_on_random_orgs(self):
+        """JSON renders a real bool as true/false, so output digests need one."""
+        rng = random.Random(37)
+        seen = 0
+        for _ in range(100):
+            org = random_org(rng)
+            request = random_request(rng, org)
+            for t in authorize(org, request).trace:
+                flags = [t.action_match, t.resource_match, t.condition_match, t.matched]
+                if t.side == "resource":
+                    flags.append(t.principal_match)
+                else:
+                    assert t.principal_match is None
+                assert all(type(flag) is bool for flag in flags), t
+                seen += 1
+        assert seen > 100
+
     def test_trace_booleans_reflect_matchers(self, sharing_org, sharing_requests):
         trace = authorize(sharing_org, sharing_requests[1]).trace
         resource_entries = [t for t in trace if t.side == "resource"]

@@ -13,6 +13,8 @@ from iamsim import (
     ConditionBlock,
     Effect,
     PolicyParseError,
+    ResourcePattern,
+    Statement,
     VerbTable,
     action_matches,
     classify_action_level,
@@ -66,6 +68,10 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(PolicyParseError, match="malformed JSON"):
             parse_policy("{not json")
+
+    def test_json_too_deep_for_the_decoder_is_malformed(self):
+        with pytest.raises(PolicyParseError, match="malformed JSON"):
+            parse_policy("[" * 100_000 + "]" * 100_000)
 
     def test_unknown_top_level_field(self):
         with pytest.raises(PolicyParseError, match="Id"):
@@ -271,6 +277,46 @@ class TestResourceMatching:
     def test_glob_agrees_with_regex_reference(self, pattern, text):
         expected = glob_regex(pattern).fullmatch(text) is not None
         assert glob_match(pattern, text) is expected
+
+
+class TestCompiledStatement:
+    """A statement's lowered patterns decide exactly as its patterns one by one."""
+
+    resource_patterns = st.one_of(
+        glob_patterns.filter(bool), st.sampled_from(["*", "x*", "*x", "a*b", "**"]),
+    )
+    arns = st.text(alphabet="abx:/", min_size=1, max_size=10)
+
+    @given(st.lists(action_pattern_texts, min_size=1, max_size=4),
+           st.lists(resource_patterns, min_size=1, max_size=4),
+           st.lists(concrete_actions, min_size=1, max_size=3),
+           st.lists(arns, min_size=1, max_size=3))
+    def test_agrees_with_per_pattern_matching(self, actions, resources, probes, arns):
+        stmt = Statement(
+            effect=Effect.ALLOW,
+            actions=tuple(ActionPattern.parse(a) for a in actions),
+            resources=tuple(ResourcePattern(r) for r in resources),
+        )
+        for action in probes:
+            got = stmt.action_match(action)
+            assert got is any(action_matches(p, action) for p in actions)
+        for arn in arns:
+            got = stmt.resource_match(arn)
+            assert got is any(resource_matches(p, arn) for p in resources)
+            assert got is any(glob_regex(p).fullmatch(arn) is not None for p in resources)
+
+    @pytest.mark.parametrize("pattern,kind", [
+        ("arn:aws:s3:::b", "literal"), ("*", "prefix"), ("arn:aws:s3:::b/*", "prefix"),
+        ("*x", "glob"), ("a*b", "glob"), ("**", "glob"),
+    ])
+    def test_resource_lowering(self, pattern, kind):
+        assert ResourcePattern(pattern).kind == kind
+
+    @pytest.mark.parametrize("pattern,prefix", [
+        ("*", ""), ("s3:*", "s3:"), ("s3:Get*", "s3:Get"), ("s3:GetObject", None),
+    ])
+    def test_action_lowering(self, pattern, prefix):
+        assert ActionPattern.parse(pattern).prefix == prefix
 
 
 class TestConditions:
