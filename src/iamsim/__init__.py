@@ -10,7 +10,9 @@ from .audit import (
     AuditEvent,
     EventError,
     EventKind,
+    EventStream,
     LogArchive,
+    LogLineError,
     QueryFilter,
     append_event,
     archive_from_events,

@@ -11,9 +11,12 @@ fields time, kind, user, account, action, resource, verdict, source, every
 one a JSON string. Timestamps are strict: exactly ``YYYY-MM-DDTHH:MM:SSZ``
 in UTC with ASCII digits (``2024-01-01T00:00:00Z``); single-digit fields,
 offsets, fractions and other digit scripts are rejected, never coerced.
-:func:`read_archive` decodes every line through :func:`event_from_obj` and
-:func:`write_archive` encodes every event through :func:`event_to_line`,
-replacing a regular target file atomically (see :mod:`iamsim.atomic`).
+:class:`EventStream` decodes a log one line at a time through
+:func:`event_from_obj`, so :func:`query` and :func:`denied_access_summary`
+read a log in one pass without holding it; :func:`read_archive` gathers a
+stream into an archive, and :func:`write_archive` encodes every event through
+:func:`event_to_line`, replacing a regular target file atomically (see
+:mod:`iamsim.atomic`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .atomic import replacing
 from .policy import (
@@ -44,6 +48,10 @@ _STRING_FIELDS = ("user", "account", "action", "resource", "source")
 
 class EventError(ValueError):
     """An audit event or log line is malformed."""
+
+
+class LogLineError(EventError):
+    """A line of a log file is malformed; the message starts ``path:line:``."""
 
 
 class EventKind(str, Enum):
@@ -96,36 +104,43 @@ class AuditEvent:
     source: str = ""
 
     def __post_init__(self) -> None:
-        for name in _STRING_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise EventError(_not_a_string(name, value))
         if not isinstance(self.time, datetime) or self.time.tzinfo is None:
             raise EventError("event time must be a timezone-aware UTC datetime")
         if not isinstance(self.kind, EventKind):
             raise EventError(f"bad event kind {self.kind!r}")
         if not isinstance(self.verdict, Verdict):
             raise EventError(f"bad verdict {self.verdict!r}")
-        if self.kind is EventKind.API_CALL:
-            if not self.action or not self.resource:
-                raise EventError("ApiCall events need a non-empty action and resource")
-            try:
-                _split_concrete_action(self.action)
-            except ValueError as exc:
-                raise EventError(str(exc)) from exc
-            if "*" in self.resource:
-                raise EventError(f"event resource must be concrete: {self.resource!r}")
-        else:
-            if self.action or self.resource:
-                raise EventError("Login events must not carry an action or resource")
-        if not self.user or not self.account:
-            raise EventError("events need a user and an account")
-        if not self.source:
-            object.__setattr__(self, "source", self.account)
+        source = _checked_source(self.kind, self.user, self.account, self.action,
+                                 self.resource, self.source)
+        object.__setattr__(self, "source", source)
 
 
 def _not_a_string(name: str, value: object) -> str:
     return f"event field {name!r} must be a string, not {type(value).__name__}"
+
+
+def _checked_source(kind: EventKind, user, account, action, resource, source) -> str:
+    """Check an event's text fields against its kind; returns its source,
+    which defaults to the account. The one place these rules are stated."""
+    if not (isinstance(user, str) and isinstance(account, str) and isinstance(action, str)
+            and isinstance(resource, str) and isinstance(source, str)):
+        for name, value in zip(_STRING_FIELDS, (user, account, action, resource, source)):
+            if not isinstance(value, str):
+                raise EventError(_not_a_string(name, value))
+    if kind is EventKind.API_CALL:
+        if not action or not resource:
+            raise EventError("ApiCall events need a non-empty action and resource")
+        try:
+            _split_concrete_action(action)
+        except ValueError as exc:
+            raise EventError(str(exc)) from exc
+        if "*" in resource:
+            raise EventError(f"event resource must be concrete: {resource!r}")
+    elif action or resource:
+        raise EventError("Login events must not carry an action or resource")
+    if not user or not account:
+        raise EventError("events need a user and an account")
+    return source or account
 
 
 def event_to_obj(event: AuditEvent) -> dict:
@@ -156,8 +171,12 @@ def event_to_line(event: AuditEvent) -> str:
     )
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 def event_from_obj(obj: object) -> AuditEvent:
-    """The event a decoded log line describes; every field is checked."""
+    """The event a decoded log line describes; every field is checked once."""
     if not isinstance(obj, dict):
         raise EventError("event must be a JSON object")
     if obj.keys() != _EVENT_KEYS:
@@ -176,16 +195,22 @@ def event_from_obj(obj: object) -> AuditEvent:
     event_verdict = _VERDICTS.get(verdict)
     if event_verdict is None:
         raise EventError(f"bad verdict {verdict!r}")
-    return AuditEvent(
-        time=parse_timestamp(time),
-        kind=event_kind,
-        user=obj["user"],
-        account=obj["account"],
-        action=obj["action"],
-        resource=obj["resource"],
-        verdict=event_verdict,
-        source=obj["source"],
-    )
+    when = parse_timestamp(time)
+    user, account, action, resource = obj["user"], obj["account"], obj["action"], obj["resource"]
+    source = _checked_source(event_kind, user, account, action, resource, obj["source"])
+    # every field is checked, so the event is built without __init__; the
+    # fields are set in declaration order, as __init__ sets them, so that
+    # all events keep sharing their class's attribute key table
+    event = _new_object(AuditEvent)
+    _set_field(event, "time", when)
+    _set_field(event, "kind", event_kind)
+    _set_field(event, "user", user)
+    _set_field(event, "account", account)
+    _set_field(event, "verdict", event_verdict)
+    _set_field(event, "action", action)
+    _set_field(event, "resource", resource)
+    _set_field(event, "source", source)
+    return event
 
 
 # (time, source) of an event
@@ -206,10 +231,17 @@ class LogArchive:
     def __len__(self) -> int:
         return len(self.events)
 
+    def __iter__(self) -> Iterator[AuditEvent]:
+        return iter(self.events)
+
 
 def archive_from_events(events: Iterable[AuditEvent]) -> LogArchive:
-    """Build an archive from events in arrival order (stable re-sort)."""
-    return LogArchive(tuple(sorted(events, key=_order_key)))
+    """Build an archive from events in arrival order (stable re-sort). Events
+    already in order, as a written archive is, are kept without sorting."""
+    events = tuple(events)
+    if any(later < earlier for earlier, later in pairwise(map(_order_key, events))):
+        events = tuple(sorted(events, key=_order_key))
+    return LogArchive(events)
 
 
 def append_event(archive: LogArchive, event: AuditEvent) -> LogArchive:
@@ -236,17 +268,62 @@ def write_archive(archive: LogArchive, path) -> None:
             fh.writelines(map(event_to_line, archive.events))
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``, in one call to the decoder's scanner when the
+    line is exactly one JSON value and a newline. Any other line, and any line
+    the scanner refuses, goes to ``json.loads``, which gives its own result
+    or error."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if end == len(line) - 1 and line[end] == "\n":
+        return obj
+    return json.loads(line)
+
+
+class EventStream:
+    """The events of one log file in file order, each line decoded and checked
+    as it is reached.
+
+    A stream passes over its file once: the file is opened when the first
+    event is asked for, and a stream that has ended stays empty. A bad line
+    raises :class:`LogLineError` naming it (``path:line: ...``); a missing or
+    unreadable file raises ``OSError``. ``len`` is the number of events read
+    so far.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self._count = 0
+        self._events = self._decode()
+
+    def __iter__(self) -> Iterator[AuditEvent]:
+        return self._events
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _decode(self) -> Iterator[AuditEvent]:
+        path = self.path
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    event = event_from_obj(_decode_line(line))
+                except (json.JSONDecodeError, RecursionError, EventError) as exc:
+                    raise LogLineError(f"{path}:{lineno}: {exc}") from exc
+                self._count += 1
+                yield event
+
+
 def read_archive(path) -> LogArchive:
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                events.append(event_from_obj(json.loads(line)))
-            except (json.JSONDecodeError, RecursionError, EventError) as exc:
-                raise EventError(f"{path}:{lineno}: {exc}") from exc
-    return archive_from_events(events)
+    """The events of one log file as an archive; errors as :class:`EventStream`'s."""
+    return archive_from_events(EventStream(path))
 
 
 @dataclass(frozen=True)
@@ -280,10 +357,13 @@ class QueryFilter:
             raise EventError("bad time range: since is after until")
 
 
-def query(archive: LogArchive, flt: QueryFilter) -> list[AuditEvent]:
-    """Events satisfying every present filter field, in archive order."""
+def query(events: Iterable[AuditEvent], flt: QueryFilter) -> list[AuditEvent]:
+    """Events satisfying every present filter field, in (time, source) order;
+    events that tie keep their input order."""
     out = []
-    for event in archive.events:
+    # the actions of a log repeat, so the pattern is matched once per distinct action
+    action_hits: dict[str, bool] = {}
+    for event in events:
         if flt.user is not None and event.user != flt.user:
             continue
         if flt.account is not None and event.account != flt.account:
@@ -298,11 +378,16 @@ def query(archive: LogArchive, flt: QueryFilter) -> list[AuditEvent]:
             continue
         # a concrete action has exactly one ":", so the glob language of a
         # pattern is the set of actions it matches
-        if flt.action_pattern is not None and (
-            event.kind is not EventKind.API_CALL or not glob_match(flt.action_pattern, event.action)
-        ):
-            continue
+        if flt.action_pattern is not None:
+            if event.kind is not EventKind.API_CALL:
+                continue
+            hit = action_hits.get(event.action)
+            if hit is None:
+                hit = action_hits[event.action] = glob_match(flt.action_pattern, event.action)
+            if not hit:
+                continue
         out.append(event)
+    out.sort(key=_order_key)
     return out
 
 
@@ -318,30 +403,38 @@ class DeniedBucket:
     count: int
 
 
-def denied_access_summary(archive: LogArchive, bucket: timedelta) -> list[DeniedBucket]:
-    """Count Deny events per (time bucket, user, account).
+def denied_access_summary(events: Iterable[AuditEvent], bucket: timedelta) -> list[DeniedBucket]:
+    """Count Deny events per (time bucket, user, account), in one pass over
+    ``events`` in any order.
 
     Buckets are aligned to the Unix epoch, so identical inputs always land
-    in identical cells; the counts partition the archive's Deny events. A
-    bucket so wide that one would start before year 1 is an error.
+    in identical cells; the counts partition the input's Deny events. A
+    bucket so wide that one would start before year 1 is an error naming the
+    earliest such event, raised once every event has been read.
     """
     if bucket <= timedelta(0):
         raise EventError("bucket duration must be positive")
     width = int(bucket.total_seconds())
     if width <= 0:
         raise EventError("bucket duration must be at least one second")
-    cells: dict[tuple[datetime, str, str], int] = {}
-    for event in archive.events:
+    cells: dict[tuple[int, str, str], int] = {}
+    too_early = None  # the earliest event whose bucket would start before year 1
+    for event in events:
         if event.verdict is not Verdict.DENY:
             continue
         seconds = int(event.time.timestamp())
         start = seconds - seconds % width
         if start < _YEAR_ONE:
-            raise EventError(f"the bucket of the event at {format_timestamp(event.time)} "
-                             f"would start before year 1")
-        key = (datetime.fromtimestamp(start, tz=timezone.utc), event.user, event.account)
+            if too_early is None or event.time < too_early:
+                too_early = event.time
+            continue
+        key = (start, event.user, event.account)
         cells[key] = cells.get(key, 0) + 1
+    if too_early is not None:
+        raise EventError(f"the bucket of the event at {format_timestamp(too_early)} "
+                         f"would start before year 1")
     return [
-        DeniedBucket(bucket_start=k[0], user=k[1], account=k[2], count=v)
-        for k, v in sorted(cells.items())
+        DeniedBucket(bucket_start=datetime.fromtimestamp(start, tz=timezone.utc),
+                     user=user, account=account, count=count)
+        for (start, user, account), count in sorted(cells.items())
     ]

@@ -15,6 +15,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -24,6 +25,8 @@ from pathlib import Path
 from .audit import (
     EventError,
     EventKind,
+    EventStream,
+    LogLineError,
     QueryFilter,
     archive_from_events,
     denied_access_summary,
@@ -253,18 +256,31 @@ def cmd_audit_merge(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
+@contextlib.contextmanager
+def _log_errors_first(events: EventStream):
+    """Report a flag error raised in the block only once ``events`` is read
+    to its end, so that a bad log line or a missing log is reported first."""
+    try:
+        yield
+    except (CliError, EventError):
+        for _ in events:
+            pass
+        raise
+
+
 def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
-    archive = read_archive(args.log)
-    flt = QueryFilter(
-        user=args.user,
-        account=args.account,
-        action_pattern=args.action,
-        kind=EventKind(args.kind) if args.kind else None,
-        verdict=Verdict(args.verdict) if args.verdict else None,
-        since=parse_timestamp(args.since) if args.since else None,
-        until=parse_timestamp(args.until) if args.until else None,
-    )
-    events = query(archive, flt)
+    stream = EventStream(args.log)
+    with _log_errors_first(stream):
+        flt = QueryFilter(
+            user=args.user,
+            account=args.account,
+            action_pattern=args.action,
+            kind=EventKind(args.kind) if args.kind else None,
+            verdict=Verdict(args.verdict) if args.verdict else None,
+            since=parse_timestamp(args.since) if args.since else None,
+            until=parse_timestamp(args.until) if args.until else None,
+        )
+    events = query(stream, flt)
     if args.fmt == "json":
         return EXIT_OK, "".join(map(event_to_line, events))
     lines = [
@@ -277,9 +293,12 @@ def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_audit_denied(args: argparse.Namespace) -> tuple[int, str]:
-    archive = read_archive(args.log)
+    stream = EventStream(args.log)
     try:
-        cells = denied_access_summary(archive, _parse_bucket(args.bucket))
+        with _log_errors_first(stream):
+            cells = denied_access_summary(stream, _parse_bucket(args.bucket))
+    except LogLineError:
+        raise
     except EventError as exc:
         raise CliError(f"--bucket {args.bucket}: {exc}") from None
     if args.fmt == "json":

@@ -160,7 +160,9 @@ def _trace_statement(
         effect=stmt.effect,
         action_match=stmt.action_match(request.action),
         resource_match=stmt.resource_match(request.resource),
-        condition_match=condition_holds(stmt.condition, request.context),
+        # most statements have no condition, and the empty block always holds
+        condition_match=(not stmt.condition.clauses
+                         or condition_holds(stmt.condition, request.context)),
         principal_match=principal,
     )
 

@@ -14,7 +14,9 @@ from iamsim import (
     AuditEvent,
     EventError,
     EventKind,
+    EventStream,
     LogArchive,
+    LogLineError,
     QueryFilter,
     Verdict,
     append_event,
@@ -231,6 +233,16 @@ class TestArchive:
         assert [(e.time, e.source) for e in left.events] == \
             [(e.time, e.source) for e in right.events]
 
+    def test_archive_order_whatever_the_input_order(self):
+        ordered = [
+            AuditEvent(time=utc(2024, 1, 1, 0, 0, second), kind=EventKind.LOGIN, user=user,
+                       account=ACCOUNTS[0], verdict=Verdict.ALLOW)
+            for second in range(5) for user in USERS
+        ]
+        for events in (ordered, ordered[::-1], ordered[1:] + ordered[:1]):
+            expected = sorted(events, key=lambda e: (e.time, e.source))
+            assert list(archive_from_events(events).events) == expected
+
     def test_file_round_trip(self, tmp_path):
         rng = random.Random(9)
         for i in range(5):
@@ -300,6 +312,50 @@ class TestCodec:
         assert read_archive(path) == archive
         write_archive(read_archive(path), path)
         assert path.read_bytes() == first
+
+    @given(st.one_of(
+        # an event line with junk around it
+        st.builds("{}{}{}".format,
+                  st.sampled_from(["", " ", "\ufeff", "x", "\n"]),
+                  st.just(json.dumps(event_to_obj(make_event(random.Random(1))))),
+                  st.sampled_from(["", "\n", " \n", "\r\n", "\x0c\n", "]\n", "\n\n", "1"])),
+        # any text built of JSON's own characters
+        st.text(alphabet=st.sampled_from(list('{}[]",:0123456789.-eEtrufalsnNIy \n\t\\x\ufeff')),
+                max_size=12),
+    ))
+    def test_line_decoder_matches_json_loads(self, line):
+        try:
+            expected = repr(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                audit._decode_line(line)
+            assert str(raised.value) == str(exc)
+        else:
+            assert repr(audit._decode_line(line)) == expected
+
+    def test_stream_reads_its_file_once(self, tmp_path):
+        archive = random_archive(random.Random(17), 12)
+        path = tmp_path / "log.jsonl"
+        write_archive(archive, path)
+        stream = EventStream(path)
+        assert len(stream) == 0
+        assert tuple(stream) == archive.events
+        assert len(stream) == 12
+        assert list(stream) == []
+
+    def test_stream_opens_its_file_on_the_first_event(self, tmp_path):
+        stream = EventStream(tmp_path / "missing.jsonl")  # nothing is opened yet
+        with pytest.raises(FileNotFoundError):
+            next(iter(stream))
+
+    def test_stream_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        line = json.dumps(event_to_obj(make_event(random.Random(18))))
+        path.write_text(f"{line}\n\n{{broken\n{line}\n", encoding="utf-8")
+        stream = EventStream(path)
+        with pytest.raises(LogLineError, match=f"^{re.escape(str(path))}:3: Expecting"):
+            list(stream)
+        assert len(stream) == 1
 
     def test_action_must_be_a_string_in_a_log(self, tmp_path):
         obj = event_to_obj(make_event(random.Random(1), second=0))
@@ -434,6 +490,22 @@ class TestQuery:
                     if e.kind is EventKind.API_CALL and regex.fullmatch(e.action)]
         assert query(archive, QueryFilter(action_pattern=pattern)) == expected
 
+    @given(seed=st.integers(0, 2**16),
+           flt=st.sampled_from([
+               QueryFilter(), QueryFilter(user="bo"), QueryFilter(verdict=Verdict.DENY),
+               QueryFilter(action_pattern="*:Delete*"),
+               QueryFilter(since=utc(2024, 3, 1, 6), until=utc(2024, 3, 1, 18)),
+           ]))
+    def test_any_input_order_gives_the_archive_order(self, seed, flt):
+        rng = random.Random(seed)
+        # few distinct seconds, so that many events tie on (time, source)
+        events = [make_event(rng, second=rng.randrange(2)) for _ in range(40)]
+        archive = archive_from_events(events)
+        # a stable sort of a filtered list is the filter of the stable sort
+        assert query(iter(events), flt) == query(archive, flt)
+        assert denied_access_summary(iter(events), timedelta(hours=1)) == \
+            denied_access_summary(archive, timedelta(hours=1))
+
     def test_bad_pattern_rejected(self):
         with pytest.raises(EventError):
             QueryFilter(action_pattern="s3:G*t")
@@ -469,6 +541,15 @@ class TestDeniedSummary:
             cells = denied_access_summary(archive, timedelta(minutes=30))
             assert sum(c.count for c in cells) == \
                 len(query(archive, QueryFilter(verdict=Verdict.DENY)))
+
+    def test_earliest_event_before_year_one_is_named(self):
+        events = [
+            AuditEvent(time=utc(year, 1, 1), kind=EventKind.LOGIN, user="ana",
+                       account=ACCOUNTS[0], verdict=Verdict.DENY)
+            for year in (2024, 1960, 1950, 1980)
+        ]
+        with pytest.raises(EventError, match="event at 1950-01-01T00:00:00Z would start before"):
+            denied_access_summary(iter(events), timedelta(days=800000))
 
     def test_bucket_must_be_positive(self):
         with pytest.raises(EventError):

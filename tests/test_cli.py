@@ -1,9 +1,15 @@
 """Command-line behavior: exit codes, formats, buffering and thin-adapter parity."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iamsim import (
     AuditEvent,
@@ -16,6 +22,7 @@ from iamsim import (
     write_archive,
 )
 from iamsim import cli
+from iamsim.audit import event_to_line
 from iamsim.cli import main
 
 from conftest import utc
@@ -573,3 +580,113 @@ class TestFlagRanges:
         log = self._one_event_log(tmp_path, "2024-01-01T00:00:00Z")
         code, out, _ = run("audit", "denied-summary", str(log), "--bucket", "999999999d")
         assert (code, out) == (0, "1970-01-01T00:00:00Z user=user-1 account=111111111111 denies=1\n")
+
+
+def _event_line(time, user="user-1", verdict="Deny"):
+    return json.dumps({
+        "time": time, "kind": "ApiCall", "user": user, "account": "111111111111",
+        "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+        "verdict": verdict, "source": "111111111111",
+    }) + "\n"
+
+
+# (command, flags) whose flags are invalid
+_FLAG_FAULTS = [
+    ("query", ["--since", "yesterday"]),
+    ("query", ["--until", "2024-1-1T00:00:00Z"]),
+    ("query", ["--action", "s3:G*t"]),
+    ("query", ["--since", "2024-02-01T00:00:00Z", "--until", "2024-01-01T00:00:00Z"]),
+    ("denied-summary", ["--bucket", "1w"]),
+    ("denied-summary", ["--bucket", "0s"]),
+    ("denied-summary", ["--bucket", "99999999999999d"]),
+]
+
+
+class TestAuditErrorOrder:
+    """A bad log line or a missing log is reported before a bad flag, as if
+    the whole log were read before any flag is looked at."""
+
+    @pytest.mark.parametrize("command, flags", _FLAG_FAULTS)
+    def test_flag_fault_alone(self, run, tmp_path, command, flags):
+        log = tmp_path / "log.jsonl"
+        log.write_text(_event_line("2024-01-01T00:00:00Z"), encoding="utf-8")
+        code, out, err = run("audit", command, str(log), *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and not err.startswith(str(log))
+
+    @pytest.mark.parametrize("command, flags", _FLAG_FAULTS)
+    def test_bad_line_is_reported_first(self, run, tmp_path, command, flags):
+        log = tmp_path / "log.jsonl"
+        good = _event_line("2024-01-01T00:00:00Z")
+        log.write_text(good + '{"nope": true}\n' + good, encoding="utf-8")
+        code, out, err = run("audit", command, str(log), *flags)
+        assert (code, out, err) == (2, "", f"{log}:2: unknown event field(s) nope\n")
+
+    @pytest.mark.parametrize("command, flags", _FLAG_FAULTS)
+    def test_missing_log_is_reported_first(self, run, tmp_path, command, flags):
+        log = tmp_path / "missing.jsonl"
+        code, out, err = run("audit", command, str(log), *flags)
+        assert (code, out) == (3, "")
+        assert str(log) in err and err.count("\n") == 1
+
+    def test_bad_line_after_a_bucket_before_year_one(self, run, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text(_event_line("1960-01-01T00:00:00Z") + "{broken\n", encoding="utf-8")
+        code, out, err = run("audit", "denied-summary", str(log), "--bucket", "800000d")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{log}:2: Expecting property name") and err.count("\n") == 1
+
+    def test_year_one_names_the_earliest_event(self, run, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text(_event_line("2024-01-01T00:00:00Z") + _event_line("1960-01-01T00:00:00Z")
+                       + _event_line("1950-06-01T00:00:00Z"), encoding="utf-8")
+        code, out, err = run("audit", "denied-summary", str(log), "--bucket", "800000d")
+        assert (code, out) == (2, "")
+        assert err == ("--bucket 800000d: the bucket of the event at 1950-06-01T00:00:00Z "
+                       "would start before year 1\n")
+
+
+_QUERY_FLAGS = [
+    [], ["--verdict", "Deny"], ["--user", "bo"], ["--kind", "Login"], ["--action", "*:Get*"],
+    ["--since", "2024-01-01T00:00:01Z", "--until", "2024-01-01T00:00:02Z"],
+]
+
+
+@st.composite
+def _stream_events(draw):
+    kind = draw(st.sampled_from(list(EventKind)))
+    account = draw(st.sampled_from(["111111111111", "222222222222"]))
+    api = kind is EventKind.API_CALL
+    return AuditEvent(
+        # few distinct times and sources, so that many events tie on (time, source)
+        time=utc(2024, 1, 1, 0, 0, draw(st.integers(0, 3))),
+        kind=kind, user=draw(st.sampled_from(["ana", "bo"])), account=account,
+        action=draw(st.sampled_from(["s3:GetObject", "s3:DeleteObject"])) if api else "",
+        resource="arn:aws:s3:::a" if api else "",
+        verdict=draw(st.sampled_from(list(Verdict))),
+        source=draw(st.sampled_from(["111111111111", "222222222222"])),
+    )
+
+
+def _cli(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_stream_events(), max_size=14).flatmap(st.permutations))
+def test_unordered_log_reads_like_the_sorted_archive(events):
+    with tempfile.TemporaryDirectory() as tmp:
+        unordered, archive = Path(tmp) / "unordered.jsonl", Path(tmp) / "archive.jsonl"
+        unordered.write_text("".join(map(event_to_line, events)), encoding="utf-8")
+        # the archive a merge of this one log writes: its stable sort
+        write_archive(archive_from_events(events), archive)
+        for fmt in ("text", "json"):
+            commands = [["query", *flags] for flags in _QUERY_FLAGS]
+            commands.append(["denied-summary", "--bucket", "2s"])
+            for command, *flags in commands:
+                got = _cli(["--format", fmt, "audit", command, str(unordered), *flags])
+                expected = _cli(["--format", fmt, "audit", command, str(archive), *flags])
+                assert got == expected and got[0] == 0, (fmt, command, flags)
