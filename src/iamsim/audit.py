@@ -37,6 +37,7 @@ from .atomic import replacing
 from .policy import (
     ActionPattern, PolicyParseError, Verdict, check_operation_pattern, glob_match, split_action,
 )
+from .textin import open_text, utf8_problem
 
 _TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
@@ -309,10 +310,14 @@ class EventStream:
 
     def _decode(self) -> Iterator[AuditEvent]:
         path = self.path
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.isspace():
                     continue
+                if not line.isascii():  # spares nearly every line of a log the call
+                    problem = utf8_problem(line, path, lineno)
+                    if problem:
+                        raise LogLineError(problem)
                 try:
                     event = event_from_obj(_decode_line(line))
                 except (json.JSONDecodeError, RecursionError, EventError) as exc:

@@ -42,6 +42,7 @@ from .atomic import replacing
 from .engine import AccessRequest, RequestError, authorize, decision_to_obj, render_trace, simulate
 from .org import Organization, ScenarioError, load_scenario
 from .policy import PolicyParseError, Verdict, VerbTable, serialize_policy
+from .textin import open_text, utf8_problem
 from .usage import (
     DEFAULT_SAMPLE_SEED,
     UsageError,
@@ -110,8 +111,11 @@ def _load_org(args: argparse.Namespace) -> Organization:
 
 def _read_requests(path: str) -> list[AccessRequest]:
     requests = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            problem = utf8_problem(line, path, lineno)
+            if problem:
+                raise CliError(problem)
             if not line.strip():
                 continue
             try:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .audit import AuditEvent, EventKind
 from .org import Organization, resolve_permission_set_ids, shares_covering
@@ -83,13 +83,13 @@ class AccessRequest:
             raise RequestError("request field 'context' must map strings to strings")
 
 
-@dataclass(frozen=True)
-class MatchTrace:
+class MatchTrace(NamedTuple):
     """Outcome of consulting one statement.
 
     ``origin`` is a permission-set id for identity statements and the
     resource arn for resource statements; ``principal_match`` is None where
-    no principal check applies (identity side).
+    no principal check applies (identity side). A tuple, so that building
+    one per statement in scope stays cheap.
     """
 
     side: str  # "identity" | "resource"
@@ -124,13 +124,19 @@ class Decision:
             raise ValueError(f"verdict {self.verdict} contradicts reason {self.reason}")
 
 
+def concrete_arn(arn: str) -> bool:
+    """True iff ``arn`` can name one resource in a request: it is non-empty
+    and has no ``*``. A registered arn need not be concrete."""
+    return bool(arn) and "*" not in arn
+
+
 def validate_request(org: Organization, request: AccessRequest) -> None:
     """Reject wildcard actions/resources and unknown users or accounts."""
     try:
         split_action(request.action)
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
-    if not request.resource or "*" in request.resource:
+    if not concrete_arn(request.resource):
         raise RequestError(f"request resource must be a concrete arn: {request.resource!r}")
     try:
         org.user(request.user)
@@ -153,17 +159,16 @@ def _trace_statement(
         principals = stmt.principals or ()
         principal = request.user in principals or request.account in principals
     return MatchTrace(
-        side=side,
-        origin=origin,
-        policy=policy_name,
-        statement_index=index,
-        effect=stmt.effect,
-        action_match=stmt.action_match(request.action),
-        resource_match=stmt.resource_match(request.resource),
+        side,
+        origin,
+        policy_name,
+        index,
+        stmt.effect,
+        stmt.action_match(request.action),
+        stmt.resource_match(request.resource),
         # most statements have no condition, and the empty block always holds
-        condition_match=(not stmt.condition.clauses
-                         or condition_holds(stmt.condition, request.context)),
-        principal_match=principal,
+        not stmt.condition.clauses or condition_holds(stmt.condition, request.context),
+        principal,
     )
 
 

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
 
 from .policy import PolicyDocument, PolicyParseError, parse_policy, policy_to_obj
+from .textin import open_text, utf8_problem
 
 OuPath = Union[str, Sequence[str]]
 
@@ -467,8 +468,11 @@ def validate_org(org: Organization) -> list[str]:
 
 def load_scenario(path) -> Organization:
     """Read and build a scenario file; JSON problems become ScenarioError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
+    problem = utf8_problem(text, path)
+    if problem:
+        raise ScenarioError([problem])
     try:
         scenario = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder

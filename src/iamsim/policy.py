@@ -37,6 +37,8 @@ from enum import Enum, IntEnum
 from importlib import resources
 from typing import Mapping, Union
 
+from .textin import open_text, utf8_problem
+
 POLICY_VERSION = "2012-10-17"
 
 CONDITION_OPERATORS = ("StringEquals", "StringLike")
@@ -522,8 +524,12 @@ class VerbTable:
 
     @classmethod
     def load(cls, path) -> "VerbTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        with open_text(path) as fh:
+            text = fh.read()
+        problem = utf8_problem(text, path)
+        if problem:
+            raise PolicyParseError(problem)
+        return cls.loads(text)
 
 
 @functools.lru_cache(maxsize=1)

@@ -7,18 +7,33 @@ least-privilege policies from a principal's observed activity at a chosen
 specificity level. Generated policies are replay-verified: every
 generating observation must re-authorize, and a sampled complement of
 unobserved pairs quantifies how much extra room the policy leaves.
+
+Replay decides the complement sample by resource class. For the fixed
+replay principal, an arn's class is the set of facts about it that
+``authorize`` reads: whether the principal's account owns it, whether a
+share covers that account, which identity statements' resource patterns
+match it, and which statements of its own policy apply to the principal
+under the empty context that replay requests carry. ``authorize`` is called
+once per sampled ``(action, class)``, on the first pair that reaches it,
+and every other pair of that action and class takes its verdict. So the
+sample, the counts and the verdicts are those of one call per pair, and
+the decision rules stay stated once, in the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import Callable, Hashable
 
 from .audit import EventKind, format_timestamp
-from .engine import AccessRequest, RequestError, authorize
-from .org import Assignment, Organization, PermissionSet
+from .engine import AccessRequest, RequestError, authorize, concrete_arn
+from .org import (
+    Assignment, Organization, PermissionSet, resolve_permission_set_ids, shares_covering,
+)
 from .policy import (
     ActionLevel,
     ActionPattern,
@@ -28,6 +43,7 @@ from .policy import (
     Statement,
     Verdict,
     VerbTable,
+    condition_holds,
     generalize_action,
     policy_to_obj,
 )
@@ -252,7 +268,11 @@ def replay_verify(
     """Re-authorize observations and a complement sample against ``org``.
 
     ``org`` should already carry the generated policy as the principal's
-    sole permission set (see :func:`install_sole_permission_set`).
+    sole permission set (see :func:`install_sole_permission_set`). Each
+    observed pair is authorized. A sampled pair is authorized only when it
+    is the first of its action and resource class (see
+    :func:`_resource_classes`); every later pair of the same action and
+    class takes that verdict, which ``authorize`` would give it again.
     """
     user, account = principal
 
@@ -263,7 +283,15 @@ def replay_verify(
         return decision.verdict is Verdict.ALLOW
 
     covered = sum(1 for action, resource in sorted(observed_pairs) if allowed(action, resource))
-    excess_allowed = sum(1 for action, resource in complement_sample if allowed(action, resource))
+    class_of = _resource_classes(org, user, account)
+    verdicts: dict[tuple[str, Hashable], bool] = {}
+    excess_allowed = 0
+    for action, resource in complement_sample:
+        key = (action, class_of(resource))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = allowed(action, resource)
+        excess_allowed += verdict
     observed = len(observed_pairs)
     sampled = len(complement_sample)
     return VerificationResult(
@@ -274,6 +302,53 @@ def replay_verify(
         sampled=sampled,
         excess_allowed=excess_allowed,
     )
+
+
+def _resource_classes(org: Organization, user: str, account: str) -> Callable[[str], Hashable]:
+    """A memoized map from an arn to its class for requests by ``user``
+    acting in ``account`` with the empty context replay requests carry.
+
+    Two arns of one class get the same verdict for every action, because
+    the class holds every fact about the arn that ``authorize`` reads: the
+    owner test, the share test, which identity statements' resource
+    patterns match it, and the ``(effect, actions)`` of each statement of
+    its own policy whose resources, principals and condition admit the
+    request. An arn that ``validate_request`` refuses is a class of its
+    own, and so is every arn when the principal does not resolve, so the
+    pair that fails is still authorized, and fails as it would alone.
+    """
+    try:
+        identity = [
+            stmt
+            for ps_id in resolve_permission_set_ids(org, user, account)
+            for policy in org.permission_set(ps_id).policies
+            for stmt in policy.statements
+        ]
+    except LookupError:
+        return str
+    empty_context: dict[str, str] = {}
+
+    def admits(stmt: Statement, arn: str) -> bool:
+        principals = stmt.principals or ()
+        return (stmt.resource_match(arn)
+                and (user in principals or account in principals)
+                and condition_holds(stmt.condition, empty_context))
+
+    def key_of(arn: str) -> Hashable:
+        if not concrete_arn(arn):
+            return arn
+        resource = org.resources_by_arn.get(arn)
+        policy = None if resource is None else resource.resource_policy
+        return (
+            resource is None or resource.owner_account == account,
+            shares_covering(org, arn, account),
+            tuple(i for i, stmt in enumerate(identity) if stmt.resource_match(arn)),
+            () if policy is None else tuple(
+                (stmt.effect, stmt.actions) for stmt in policy.statements if admits(stmt, arn)
+            ),
+        )
+
+    return functools.cache(key_of)
 
 
 def complement_sample(

@@ -7,7 +7,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iamsim import (
@@ -303,6 +303,8 @@ class TestCodec:
             assert event_to_line(event) == \
                 json.dumps(event_to_obj(event), separators=(",", ":")) + "\n"
 
+    # writes files, so a busy machine can stretch an example past the deadline
+    @settings(deadline=None)
     @given(st.lists(codec_events(), max_size=12))
     def test_write_read_write_is_identity(self, tmp_path_factory, events):
         archive = archive_from_events(events)

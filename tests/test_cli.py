@@ -391,6 +391,19 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"bad principal {principal!r}: expected USER@ACCOUNT\n"
 
+    def test_verb_table_not_utf8_names_the_line(self, run, sharing_scenario_path, tmp_path):
+        log = self._emitted_log(run, sharing_scenario_path, tmp_path)
+        table = tmp_path / "verbs.tsv"
+        table.write_bytes(b"Get\tread\n# caf\xe9\nPut\twrite\n")
+        code, out, err = run(
+            "--scenario", str(sharing_scenario_path),
+            "analyze", "generate", str(log), "--principal", "user-1@111111111111",
+            "--level", "3", "--window", "2024-01-01T00:00:00Z..2024-01-02T00:00:00Z",
+            "--verb-table", str(table),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"{table}:2: not UTF-8: byte 0xe9\n"
+
 
 class TestDeepJson:
     """JSON nested past the decoder's depth is malformed input, reported
@@ -423,6 +436,40 @@ class TestDeepJson:
         path.write_text(self.DEEP_LINE, encoding="utf-8")
         code, out, err = run("audit", "query", str(path))
         self._assert_one_line(code, out, err, f"{path}:1: ")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in an input file is invalid input, reported in
+    one line naming the file and the line that holds it."""
+
+    def test_scenario(self, run, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{\n  "organization":\n    "\xc3("\n}\n')
+        code, out, err = run("--scenario", str(path), "validate")
+        assert (code, out, err) == (2, "", f"{path}:3: not UTF-8: byte 0xc3\n")
+
+    def test_requests_file(self, run, sharing_scenario_path, tmp_path):
+        path = tmp_path / "reqs.jsonl"
+        good = json.dumps({"user": "user-1", "account": "111111111111",
+                           "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s"})
+        path.write_bytes(good.encode() + b"\n\n" + good.encode().replace(b"bucket", b"caf\xe9") + b"\n")
+        code, out, err = run("--scenario", str(sharing_scenario_path), "simulate", str(path))
+        assert (code, out, err) == (2, "", f"{path}:3: not UTF-8: byte 0xe9\n")
+
+    def test_log_file(self, run, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        code, out, err = run("audit", "query", str(path))
+        assert (code, out, err) == (2, "", f"{path}:1: not UTF-8: byte 0xff\n")
+
+    def test_valid_text_outside_ascii_still_reads(self, run, tmp_path):
+        event = AuditEvent(time=utc(2024, 1, 1), kind=EventKind.LOGIN, user="jos\u00e9",
+                           account="111111111111", verdict=Verdict.ALLOW)
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(json.loads(event_to_line(event)), ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        code, out, err = run("--format", "json", "audit", "query", str(path))
+        assert (code, out, err) == (0, event_to_line(event), "")
 
 
 def _account_log(tmp_path, account, events):

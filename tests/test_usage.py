@@ -1,26 +1,48 @@
 """Usage indexing, unused-statement reporting and policy generation."""
 
+import dataclasses
+import random
+import re
 from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iamsim import (
     AccessRequest,
     ActionLevel,
     AuditEvent,
     EventKind,
+    RequestError,
     UsageError,
     Verdict,
+    VerificationResult,
     authorize,
     build_org,
     build_usage_index,
     classify_action_level,
     generate_least_privilege,
+    replay_verify,
     unused_report,
 )
-from iamsim.usage import install_sole_permission_set, render_unused_report, unused_report_obj
+from iamsim import usage
+from iamsim.usage import (
+    complement_sample,
+    install_sole_permission_set,
+    render_unused_report,
+    unused_report_obj,
+)
 
 from conftest import utc
+from generators import (
+    CONCRETE_ACTIONS,
+    CONDITIONS,
+    REQUEST_RESOURCES,
+    RESOURCE_PATTERNS,
+    random_request,
+    random_scenario,
+)
 
 ACCT = "777700000001"
 BKT_X = "arn:aws:s3:::bkt-x"
@@ -363,3 +385,162 @@ class TestReplay:
             generated = generate_least_privilege(index, ("dana", "200000000001"),
                                                  level, GEN_WINDOW)
             assert generated.verification.coverage == 1.0
+
+
+def per_pair_verify(org, principal, observed_pairs, sample) -> VerificationResult:
+    """The reference for class replay: one ``authorize`` call per pair."""
+    user, account = principal
+
+    def allowed(action, resource):
+        return authorize(org, AccessRequest(
+            user=user, account=account, action=action, resource=resource,
+        )).verdict is Verdict.ALLOW
+
+    covered = sum(allowed(a, r) for a, r in sorted(observed_pairs))
+    excess_allowed = sum(allowed(a, r) for a, r in sample)
+    observed, sampled = len(observed_pairs), len(sample)
+    return VerificationResult(
+        coverage=covered / observed if observed else 1.0,
+        excess=excess_allowed / sampled if sampled else 0.0,
+        observed=observed, covered=covered, sampled=sampled, excess_allowed=excess_allowed,
+    )
+
+
+def outcome(verify, *args):
+    """What ``verify(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return verify(*args)
+    except (RequestError, LookupError) as exc:
+        return type(exc), str(exc)
+
+
+def activity_index(rng: random.Random):
+    """A random org (Deny statements, conditions on both sides, resource
+    policies naming users and accounts, shares) and the usage index of its
+    allowed context-free requests, unregistered resources included.
+
+    Besides the generators' three buckets it registers eight objects whose
+    policies draw effects, actions and resource patterns from small pools,
+    so that arns alike in all but one fact are common."""
+    scenario = random_scenario(rng, condition_rate=0.3)
+    accounts = [a["id"] for ou in (scenario["organization"]["root"],
+                                   *scenario["organization"]["root"]["children"])
+                for a in ou["accounts"]]
+    principals = [u["id"] for u in scenario["users"]] + accounts
+    for i in range(8):
+        arn, owner = f"arn:aws:s3:::bkt-0/k{i}", rng.choice(accounts)
+        entry = {"arn": arn, "owner_account": owner}
+        if rng.random() < 0.8:
+            entry["resource_policy"] = {"Version": "2012-10-17", "Statement": [{
+                "Effect": rng.choice(["Allow", "Allow", "Deny"]),
+                "Principal": rng.sample(principals, k=rng.randint(1, 3)),
+                "Action": rng.choice(["s3:*", "s3:Get*", "s3:GetObject", "s3:PutObject"]),
+                "Resource": rng.choice(RESOURCE_PATTERNS + [arn]),
+            } for _ in range(rng.randint(1, 3))]}
+        scenario["resources"].append(entry)
+        if rng.random() < 0.4:
+            scenario["shares"].append({"resource": arn, "shared_with": sorted(
+                rng.sample([a for a in accounts if a != owner], k=1))})
+    for resource in scenario["resources"]:
+        for stmt in resource.get("resource_policy", {}).get("Statement", []):
+            if rng.random() < 0.3:
+                stmt["Condition"] = rng.choice(CONDITIONS)
+    org = build_org(scenario)
+    events = []
+    for i in range(80):
+        request = dataclasses.replace(random_request(rng, org), context={})
+        if authorize(org, request).verdict is Verdict.ALLOW:
+            events.append(api_event(utc(2024, 1, 1) + timedelta(seconds=i), request.user,
+                                    request.action, request.resource, account=request.account))
+    return build_usage_index(org, events)
+
+
+class TestClassReplay:
+    """Replay decides one sampled pair per action and resource class; every
+    result must equal one ``authorize`` call per pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), level=st.sampled_from([2, 3, 4]))
+    def test_matches_per_pair_replay(self, seed, level):
+        rng = random.Random(seed)
+        index = activity_index(rng)
+        assume(index.observations)
+        principal = min(index.observations, key=lambda p: (-len(index.observations[p]), p))
+        window = (utc(2024, 1, 1), utc(2024, 1, 2))
+        observed = index.observed_in_window(principal, window)
+        generated = generate_least_privilege(index, principal, level, window)
+        replay_org = install_sole_permission_set(index.org, *principal, generated.document)
+        sample = complement_sample(index, observed)
+        assert generated.verification == per_pair_verify(replay_org, principal, observed, sample)
+        # a wider sample, in any order, over unregistered arns as well, and
+        # against the original grants too, whose identity side has Deny
+        # statements and conditions
+        arns = sorted({r.arn for r in index.org.resources} | set(REQUEST_RESOURCES))
+        wide = [(a, r) for a in CONCRETE_ACTIONS for r in arns]
+        rng.shuffle(wide)
+        for org in (replay_org, index.org):
+            assert outcome(replay_verify, org, principal, observed, wide) == \
+                outcome(per_pair_verify, org, principal, observed, wide)
+
+    @pytest.mark.parametrize("bad_arn", ["arn:aws:s3:::bkt-y*", ""])
+    def test_registered_non_concrete_arn_still_fails_its_pair(self, bad_arn):
+        scenario = generation_scenario()
+        scenario["resources"].append({"arn": bad_arn, "owner_account": ACCT})
+        index = build_usage_index(build_org(scenario), [
+            api_event(utc(2024, 1, 1, 0, 0), "dev", "s3:GetObject", BKT_X),
+        ])
+        observed = index.observed_in_window(("dev", ACCT), GEN_WINDOW)
+        # the bad arn comes after an arn of the class it would otherwise join:
+        # same owner, no policy, and dev's s3:* grant on * matches both
+        sample = [("s3:GetObject", BKT_Y), ("s3:GetObject", bad_arn)]
+        message = f"request resource must be a concrete arn: {bad_arn!r}"
+        for verify in (replay_verify, per_pair_verify):
+            assert outcome(verify, index.org, ("dev", ACCT), observed, sample) == \
+                (RequestError, message)
+        with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+            generate_least_privilege(index, ("dev", ACCT), 2, GEN_WINDOW)
+
+    @pytest.mark.parametrize("principal", [("ghost", ACCT), ("dev", "999999999999")])
+    def test_unknown_principal_fails_as_per_pair(self, principal):
+        org = build_org(generation_scenario())
+        sample = [("s3:GetObject", BKT_X), ("s3:GetObject", BKT_Y)]
+        first = outcome(replay_verify, org, principal, set(), sample)
+        assert first[0] is RequestError
+        assert first == outcome(per_pair_verify, org, principal, set(), sample)
+
+    def test_one_authorize_call_per_action_and_class(self, monkeypatch):
+        scenario = generation_scenario()
+        # each bucket's policy differs from the others only in statements
+        # that cannot apply to dev's requests: one names another principal,
+        # one needs a context key, one covers other resources
+        scenario["resources"] = [{
+            "arn": f"arn:aws:s3:::bkt-{i:02d}", "owner_account": ACCT,
+            "resource_policy": {"Version": "2012-10-17", "Statement": [
+                {"Effect": "Deny", "Principal": "ops", "Action": f"s3:Get{i}x",
+                 "Resource": "*"},
+                {"Effect": "Deny", "Principal": "dev", "Action": f"s3:Put{i}x",
+                 "Resource": "*", "Condition": {"StringEquals": {"env": ["prod"]}}},
+                {"Effect": "Deny", "Principal": ACCT, "Action": f"s3:List{i}x",
+                 "Resource": "arn:aws:s3:::other"},
+            ]},
+        } for i in range(40)]
+        index = build_usage_index(build_org(scenario), [
+            api_event(utc(2024, 1, 1, 0, 0), "dev", "s3:GetObject", "arn:aws:s3:::bkt-00"),
+            api_event(utc(2024, 1, 1, 0, 1), "ops", "s3:ListBucket", "arn:aws:s3:::bkt-01"),
+            api_event(utc(2024, 1, 1, 0, 2), "dev", "s3:PutObject", "arn:aws:s3:::bkt-02"),
+        ])
+        calls = []
+
+        def counting(org, request):
+            calls.append((org, request))
+            return authorize(org, request)
+
+        monkeypatch.setattr(usage, "authorize", counting)
+        generated = generate_least_privilege(index, ("dev", ACCT), 2, GEN_WINDOW)
+        v = generated.verification
+        assert (v.observed, v.sampled) == (2, 3 * 40 - 2)
+        # the 40 buckets form one class, so one call per action settles the sample
+        assert len(calls) - v.observed <= 3
+        observed = index.observed_in_window(("dev", ACCT), GEN_WINDOW)
+        assert v == per_pair_verify(calls[0][0], ("dev", ACCT), observed,
+                                    complement_sample(index, observed))
