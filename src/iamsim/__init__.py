@@ -14,7 +14,6 @@ from .audit import (
     LogArchive,
     LogLineError,
     QueryFilter,
-    append_event,
     archive_from_events,
     denied_access_summary,
     merge_archives,
@@ -29,7 +28,6 @@ from .engine import (
     Reason,
     RequestError,
     authorize,
-    explain,
     simulate,
 )
 from .oracle import oracle_authorize
@@ -48,8 +46,6 @@ from .org import (
     export_scenario,
     load_scenario,
     provision_account,
-    resolve_identity_policies,
-    resource_lookup,
     shares_covering,
     validate_org,
 )

@@ -21,7 +21,6 @@ stream into an archive, and :func:`write_archive` encodes every event through
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import operator
@@ -220,8 +219,9 @@ _order_key = operator.attrgetter("time", "source")
 
 @dataclass(frozen=True)
 class LogArchive:
-    """A time-ordered event sequence. Construction and append both keep
-    (time, source, arrival) order, so late events slot in deterministically."""
+    """A time-ordered event sequence. :func:`archive_from_events` and
+    :func:`merge_archives` keep (time, source, arrival) order, so late events
+    slot in deterministically."""
 
     events: tuple[AuditEvent, ...] = ()
 
@@ -243,13 +243,6 @@ def archive_from_events(events: Iterable[AuditEvent]) -> LogArchive:
     if any(later < earlier for earlier, later in pairwise(map(_order_key, events))):
         events = tuple(sorted(events, key=_order_key))
     return LogArchive(events)
-
-
-def append_event(archive: LogArchive, event: AuditEvent) -> LogArchive:
-    """Insert one event, keeping order; returns a new archive."""
-    events = list(archive.events)
-    bisect.insort_right(events, event, key=_order_key)
-    return LogArchive(tuple(events))
 
 
 def merge_archives(archives: Sequence[LogArchive]) -> LogArchive:

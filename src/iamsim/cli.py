@@ -56,7 +56,7 @@ from .usage import (
 
 _REQUEST_KEYS = frozenset({"user", "account", "action", "resource", "context"})
 
-_BUCKET_RE = re.compile(r"(\d+)([smhd])\Z")
+_BUCKET_RE = re.compile(r"([0-9]+)([smhd])\Z")
 _BUCKET_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 
 EXIT_OK = 0

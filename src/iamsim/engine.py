@@ -282,11 +282,6 @@ def render_trace(org: Organization, request: AccessRequest, decision: Decision) 
     return "\n".join(lines)
 
 
-def explain(org: Organization, request: AccessRequest) -> str:
-    """Authorize and render the full trace in one step."""
-    return render_trace(org, request, authorize(org, request))
-
-
 def trace_to_obj(trace: Iterable[MatchTrace]) -> list[dict]:
     return [
         {

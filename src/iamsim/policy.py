@@ -496,9 +496,6 @@ class VerbTable:
                 best = verb
         return best
 
-    def category(self, verb: str) -> str:
-        return self.categories[verb]
-
     @classmethod
     def loads(cls, text: str) -> "VerbTable":
         categories: dict[str, str] = {}

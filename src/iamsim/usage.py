@@ -201,14 +201,7 @@ class VerificationResult:
     excess_allowed: int
 
     def to_obj(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "excess": self.excess,
-            "observed": self.observed,
-            "covered": self.covered,
-            "sampled": self.sampled,
-            "excess_allowed": self.excess_allowed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -227,7 +220,6 @@ def install_sole_permission_set(
     user: str,
     account: str,
     document: PolicyDocument,
-    ps_id: str = "generated-replay",
 ) -> Organization:
     """What-if org where ``document`` is the user's only grant in ``account``.
 
@@ -237,6 +229,7 @@ def install_sole_permission_set(
     other principals' grants are untouched.
     """
     member_of = set(org.user(user).groups)
+    ps_id = "generated-replay"
     while ps_id in org.permission_sets_by_id:
         ps_id += "-x"
 

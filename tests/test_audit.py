@@ -19,7 +19,6 @@ from iamsim import (
     LogLineError,
     QueryFilter,
     Verdict,
-    append_event,
     archive_from_events,
     denied_access_summary,
     merge_archives,
@@ -177,23 +176,6 @@ class TestEvents:
 
 
 class TestArchive:
-    def test_append_grows_by_one(self):
-        archive = LogArchive()
-        event = AuditEvent(time=utc(2024, 1, 1), kind=EventKind.LOGIN,
-                           user="ana", account=ACCOUNTS[0], verdict=Verdict.ALLOW)
-        grown = append_event(archive, event)
-        assert len(grown) == 1 and len(archive) == 0
-
-    def test_late_events_reinserted_by_time(self):
-        rng = random.Random(3)
-        events = [make_event(rng) for _ in range(40)]
-        archive = LogArchive()
-        for event in events:
-            archive = append_event(archive, event)
-        # naive reference: stable sort of the arrival sequence
-        expected = sorted(events, key=lambda e: (e.time, e.source))
-        assert list(archive.events) == expected
-
     def test_accounts_covered(self):
         rng = random.Random(4)
         archive = random_archive(rng, 30)

@@ -542,8 +542,9 @@ class TestAudit:
 
     def test_bad_bucket_duration(self, run, tmp_path):
         a, _, _ = self._logs(tmp_path)
-        code, _, err = run("audit", "denied-summary", str(a), "--bucket", "1w")
-        assert code == 2 and "bucket" in err
+        for bucket in ("1w", "٣h"):  # a digit of another script is not coerced
+            code, _, err = run("audit", "denied-summary", str(a), "--bucket", bucket)
+            assert code == 2 and "bad bucket duration" in err
 
     def test_malformed_event_line(self, run, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -15,15 +15,18 @@ from iamsim import (
     Verdict,
     authorize,
     build_org,
-    explain,
     oracle_authorize,
     simulate,
 )
-from iamsim.engine import decision_to_obj
+from iamsim.engine import decision_to_obj, render_trace
 from iamsim.org import Assignment, PermissionSet, resolve_permission_set_ids
 from iamsim.policy import ActionPattern, PolicyDocument, ResourcePattern
 
 from generators import exhaustive_universes, random_org, random_request
+
+
+def rendered_trace(org, request):
+    return render_trace(org, request, authorize(org, request))
 
 
 def _with_extra_statement(org, stmt, rng):
@@ -249,7 +252,7 @@ class TestTraces:
         assert entry.principal_match is False and not entry.matched
 
     def test_explain_cross_account_denial_names_resource_side(self, sharing_org, sharing_requests):
-        rendered = explain(sharing_org, sharing_requests[1])
+        rendered = rendered_trace(sharing_org, sharing_requests[1])
         assert "Deny (ImplicitDeny)" in rendered
         assert "cross-account" in rendered and "resource side" in rendered
         assert "matched" in rendered
@@ -277,7 +280,7 @@ class TestTraces:
             "assignments": [{"user": "u1", "account": "111111111111", "permission_set": "p0"}],
         }
         org = build_org(scenario)
-        rendered = explain(org, AccessRequest(
+        rendered = rendered_trace(org, AccessRequest(
             user="u1", account="111111111111",
             action="s3:DeleteObject", resource="arn:aws:s3:::b",
         ))
@@ -285,15 +288,15 @@ class TestTraces:
         assert "statement=1 effect=Deny" in rendered and "-> matched" in rendered
 
     def test_explain_no_policies(self, demo_org):
-        rendered = explain(demo_org, AccessRequest(
+        rendered = rendered_trace(demo_org, AccessRequest(
             user="li", account="600000000001",
             action="s3:GetObject", resource="arn:aws:s3:::x",
         ))
         assert "ImplicitDeny" in rendered and "no statements in scope" in rendered
 
     def test_rendering_is_deterministic(self, sharing_org, sharing_requests):
-        first = [explain(sharing_org, r) for r in sharing_requests]
-        second = [explain(sharing_org, r) for r in sharing_requests]
+        first = [rendered_trace(sharing_org, r) for r in sharing_requests]
+        second = [rendered_trace(sharing_org, r) for r in sharing_requests]
         assert first == second
 
     @pytest.mark.parametrize("user, action, resource, decision, rule", [
@@ -315,7 +318,7 @@ class TestTraces:
     ])
     def test_rule_line_text(self, user, action, resource, decision, rule):
         org = build_org(RULES_SCENARIO)
-        lines = explain(org, AccessRequest(
+        lines = rendered_trace(org, AccessRequest(
             user=user, account="111111111111", action=action, resource=resource,
         )).splitlines()
         assert lines[:3] == [f"decision: {decision}", f"rule: {rule}", "trace:"]

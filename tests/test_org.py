@@ -14,14 +14,13 @@ from iamsim import (
     build_org,
     export_scenario,
     provision_account,
-    resolve_identity_policies,
-    resource_lookup,
     shares_covering,
     validate_org,
 )
 from iamsim.org import (
     Account,
     Assignment,
+    Organization,
     PermissionSet,
     Resource,
     ResourceShare,
@@ -376,6 +375,17 @@ class TestProvision:
         rebuilt = build_org(export_scenario(org))
         assert rebuilt == org
 
+    def test_non_ascii_digit_ids_are_not_numbered(self):
+        # "¹" and "٣" pass str.isdigit but int() refuses the first and reads
+        # the second as 3; neither is a 12-digit id that could collide
+        scenario = minimal_scenario()
+        scenario["organization"]["root"]["accounts"] += [
+            {"id": "¹", "name": "superscript"}, {"id": "٣", "name": "arabic-indic"},
+        ]
+        org = build_org(scenario)
+        grown = provision_account(org, "fresh", "")
+        assert [a.id for a in grown.accounts if a.name == "fresh"] == ["000000000001"]
+
     def test_fresh_ids_are_deterministic(self, demo_org):
         a = provision_account(demo_org, "one", "")
         b = provision_account(demo_org, "one", "")
@@ -408,15 +418,16 @@ class TestSubtree:
 
 class TestResolve:
     def test_red_frontend_gets_frontend_policies(self, demo_org):
-        policies = resolve_identity_policies(demo_org, "dana", "200000000001")
+        ps_ids = resolve_permission_set_ids(demo_org, "dana", "200000000001")
+        policies = [p for ps in ps_ids for p in demo_org.permission_set(ps).policies]
         assert [p.name for p in policies] == ["frontend-access"]
 
     def test_no_assignments_yield_empty(self, demo_org):
-        assert resolve_identity_policies(demo_org, "li", "200000000001") == []
+        assert resolve_permission_set_ids(demo_org, "li", "200000000001") == ()
 
     def test_unknown_user_raises(self, demo_org):
         with pytest.raises(LookupError):
-            resolve_identity_policies(demo_org, "ghost", "200000000001")
+            resolve_permission_set_ids(demo_org, "ghost", "200000000001")
 
     def test_two_groups_same_set_deduplicated(self):
         scenario = minimal_scenario()
@@ -434,14 +445,14 @@ class TestResolve:
             {"group": "g2", "account": "000000000042", "permission_set": "shared"},
         ]
         org = build_org(scenario)
-        resolved = resolve_identity_policies(org, "u1", "000000000042")
+        resolved = resolve_permission_set_ids(org, "u1", "000000000042")
         # naive multiset union would see the set twice
         naive = [
             a.permission_set for a in org.assignments
             if a.subject_kind == "group" and a.subject in org.user("u1").groups
         ]
         assert len(naive) == 2
-        assert [p.name for p in resolved] == ["p"]
+        assert resolved == ("shared",)
 
     def test_group_and_direct_assignment_equivalence(self):
         rng = random.Random(11)
@@ -460,8 +471,8 @@ class TestResolve:
         ]
         org_g, org_u = build_org(via_group), build_org(via_users)
         for u in scenario["users"]:
-            assert resolve_identity_policies(org_g, u["id"], account) == \
-                resolve_identity_policies(org_u, u["id"], account)
+            assert resolve_permission_set_ids(org_g, u["id"], account) == \
+                resolve_permission_set_ids(org_u, u["id"], account) == (ps,)
 
     def test_adding_assignment_never_shrinks_resolution(self):
         rng = random.Random(23)
@@ -469,7 +480,7 @@ class TestResolve:
             org = build_org(random_scenario(rng))
             user = rng.choice(org.users)
             account = rng.choice(org.accounts).id
-            before = resolve_identity_policies(org, user.id, account)
+            before = resolve_permission_set_ids(org, user.id, account)
             extra = Assignment("user", user.id, account,
                                rng.choice(org.permission_sets).id)
             if extra in org.assignments:
@@ -480,10 +491,8 @@ class TestResolve:
                     key=lambda a: (a.subject, a.account, a.permission_set, a.subject_kind),
                 )),
             )
-            after = resolve_identity_policies(grown, user.id, account)
-            names_before = [p.name for p in before]
-            names_after = [p.name for p in after]
-            assert all(n in names_after for n in names_before)
+            after = resolve_permission_set_ids(grown, user.id, account)
+            assert set(before) <= set(after) and extra.permission_set in after
 
     def test_ou_partition_no_duplicates(self):
         rng = random.Random(5)
@@ -522,6 +531,25 @@ class TestIndexedLookups:
                 assert shares_covering(org, arn, account.id) == \
                     self.naive_shares_covering(org, arn, account.id)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_unsorted_duplicated_assignments_agree_with_naive_scan(self, seed):
+        # built without build_org, so nothing sorts or dedups the assignments
+        # before the index sees them
+        rng = random.Random(seed)
+        org = random_org(rng, n_accounts=4, n_users=5, n_groups=3)
+        assignments = list(org.assignments) + rng.choices(org.assignments, k=len(org.assignments))
+        rng.shuffle(assignments)
+        direct = Organization(
+            root=org.root, management_account=org.management_account, users=org.users,
+            groups=org.groups, permission_sets=org.permission_sets,
+            assignments=tuple(assignments),
+        )
+        for account in org.accounts:
+            for user in org.users:
+                assert resolve_permission_set_ids(direct, user.id, account.id) == \
+                    self.naive_permission_set_ids(direct, user.id, account.id) == \
+                    resolve_permission_set_ids(org, user.id, account.id)
+
     def test_sole_permission_set_org_gets_its_own_index(self):
         document = parse_policy(
             '{"Version":"2012-10-17","Statement":'
@@ -556,14 +584,6 @@ class TestIndexedLookups:
 
 
 class TestResourcesAndShares:
-    def test_lookup_returns_resource(self, demo_org):
-        res = resource_lookup(demo_org, "arn:aws:s3:::shared-assets")
-        assert res.owner_account == "500000000001"
-
-    def test_lookup_unknown_arn(self, demo_org):
-        with pytest.raises(LookupError):
-            resource_lookup(demo_org, "arn:aws:s3:::nope")
-
     def test_shared_zone_covers_dev_and_staging(self, demo_org):
         zone = "arn:aws:route53:::hostedzone/ZRED42"
         assert shares_covering(demo_org, zone, "200000000001")

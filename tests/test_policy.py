@@ -444,8 +444,8 @@ class TestVerbTable:
 
     def test_categories_exposed(self):
         table = VerbTable.loads("Get\tread\nPut\twrite\n")
-        assert table.category("Get") == "read"
-        assert table.category("Put") == "write"
+        assert table.categories["Get"] == "read"
+        assert table.categories["Put"] == "write"
 
 
 def test_split_action_rejects_wildcards_and_junk():

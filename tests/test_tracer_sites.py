@@ -1,6 +1,7 @@
 """The benchmark's span tracer patches iamsim functions by name; every name it
 lists must still be bound where it looks, or a traced run fails at install."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -23,3 +24,30 @@ def test_every_tracer_site_resolves():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+# bound in iamsim.engine only so that the tracer can patch them; statements
+# match through their own lowered patterns, so engine never calls them
+BOUND_ONLY_FOR_TRACER = {
+    ("iamsim.engine", "action_matches"),
+    ("iamsim.engine", "resource_matches"),
+}
+
+
+def test_every_tracer_site_is_defined_or_read_where_patched():
+    """A site that is imported but never read is patched without effect, and
+    the traced run then reports zero time for it instead of failing."""
+    unused = set()
+    for module, name in _tracer_sites():
+        tree = ast.parse(Path(importlib.util.find_spec(module).origin).read_text("utf-8"))
+        defined = any(
+            isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            for node in tree.body
+        )
+        read = any(
+            isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(tree)
+        )
+        if not (defined or read):
+            unused.add((module, name))
+    assert unused == BOUND_ONLY_FOR_TRACER

@@ -360,9 +360,7 @@ class TestReplay:
         authorized = {}
         for level in (2, 3, 4):
             generated = generate_least_privilege(index, ("dev", ACCT), level, GEN_WINDOW)
-            replay_org = install_sole_permission_set(
-                index.org, "dev", ACCT, generated.document, ps_id=f"replay-{level}",
-            )
+            replay_org = install_sole_permission_set(index.org, "dev", ACCT, generated.document)
             authorized[level] = {
                 (a, r)
                 for a in probe_actions for r in probe_resources
