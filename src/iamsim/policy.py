@@ -15,16 +15,16 @@ Action patterns are ranked on a four-step specificity ladder (see
 ladder with :func:`generalize_action`, which consults a configurable table
 classifying operation verbs as read or write.
 
-Every pattern lowers to a form plain string operations can test. An action
-pattern is an exact text (``s3:GetObject``) or a prefix: ``""`` for ``*:*``,
-``"s3:"`` for ``s3:*`` and ``"s3:Get"`` for ``s3:Get*``; a concrete action has
-exactly one ``:``, so ``startswith`` on that prefix is the whole test. A
-resource pattern is a literal arn, a prefix when its only ``*`` is the last
-character (so ``*`` lowers to ``""``), or else a residual :func:`glob_match`
-pattern. :func:`action_matches` and :func:`resource_matches` apply the
-lowering to one pattern; a :class:`Statement` gathers the lowered forms of
-all its patterns on its first match, so a whole statement is tested with two
-set lookups, two ``str.startswith(tuple)`` calls and the residual globs.
+Every pattern means what :func:`glob_match` makes of its text, which is
+what :func:`action_matches` and :func:`resource_matches` test. A
+:class:`Statement` lowers all its patterns once, on its first match, with
+:func:`_lower`: a text without ``*`` is exact, a text whose only ``*`` is the
+last character is the prefix before it (``s3:Get*`` is ``"s3:Get"`` and
+``*`` is ``""``), and any other text is a residual glob. Action patterns are
+lowered from their text, with ``*:*`` fed in as ``*``: a concrete action has
+exactly one ``:``, so both match every action. The action grammar leaves no
+residual glob, so a whole statement is tested with two set lookups, two
+``str.startswith(tuple)`` calls and the residual resource globs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from importlib import resources
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .textin import open_text, utf8_problem
 
@@ -151,16 +151,6 @@ class ActionPattern:
     def text(self) -> str:
         return f"{self.service}:{self.operation_pattern}"
 
-    @property
-    def prefix(self) -> str | None:
-        """What every matching concrete action starts with, or None when the
-        pattern is exact and only its :attr:`text` matches."""
-        if self.service == "*":
-            return ""
-        if self.operation_pattern.endswith("*"):
-            return f"{self.service}:{self.operation_pattern[:-1]}"
-        return None
-
     def __str__(self) -> str:
         return self.text
 
@@ -174,23 +164,6 @@ class ResourcePattern:
     def __post_init__(self) -> None:
         if not isinstance(self.pattern, str) or not self.pattern:
             raise PolicyParseError("resource pattern must be a non-empty string")
-
-    @property
-    def kind(self) -> str:
-        """``"literal"`` without ``*``, ``"prefix"`` when the only ``*`` is the
-        last character, else ``"glob"``."""
-        star = self.pattern.find("*")
-        if star < 0:
-            return "literal"
-        return "prefix" if star == len(self.pattern) - 1 else "glob"
-
-    def matches(self, arn: str) -> bool:
-        kind = self.kind
-        if kind == "literal":
-            return arn == self.pattern
-        if kind == "prefix":
-            return arn.startswith(self.pattern[:-1])
-        return glob_match(self.pattern, arn)
 
     def __str__(self) -> str:
         return self.pattern
@@ -218,23 +191,22 @@ class ConditionBlock:
                         f"condition key {key!r} needs at least one string value"
                     )
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.clauses
 
-    def holds(self, context: Mapping[str, str]) -> bool:
-        for operator, keys in self.clauses.items():
-            for key, values in keys.items():
-                actual = context.get(key)
-                if actual is None:
-                    return False
-                if operator == "StringEquals":
-                    if actual not in values:
-                        return False
-                else:  # StringLike
-                    if not any(glob_match(v, actual) for v in values):
-                        return False
-        return True
+def _lower(patterns: Iterable[str]) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
+    """Split glob texts into exact texts, the prefixes of those whose only
+    ``*`` is the last character, and the residual globs."""
+    exact: set[str] = set()
+    prefixes: list[str] = []
+    globs: list[str] = []
+    for text in patterns:
+        star = text.find("*")
+        if star < 0:
+            exact.add(text)
+        elif star == len(text) - 1:
+            prefixes.append(text[:-1])
+        else:
+            globs.append(text)
+    return frozenset(exact), tuple(prefixes), tuple(globs)
 
 
 @dataclass(frozen=True)
@@ -265,17 +237,12 @@ class Statement:
     # so loading a scenario pays nothing for statements no request reaches.
     @functools.cached_property
     def _action_parts(self) -> tuple[frozenset[str], tuple[str, ...]]:
-        exact = frozenset(p.text for p in self.actions if p.prefix is None)
-        return exact, tuple(p.prefix for p in self.actions if p.prefix is not None)
+        # an action pattern's only '*' is its last character, so no residual glob
+        return _lower("*" if p.service == "*" else p.text for p in self.actions)[:2]
 
     @functools.cached_property
     def _resource_parts(self) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...]]:
-        by_kind: dict[str, list[str]] = {"literal": [], "prefix": [], "glob": []}
-        for p in self.resources:
-            by_kind[p.kind].append(p.pattern)
-        return (frozenset(by_kind["literal"]),
-                tuple(p[:-1] for p in by_kind["prefix"]),
-                tuple(by_kind["glob"]))
+        return _lower(p.pattern for p in self.resources)
 
     def action_match(self, action: str) -> bool:
         """True iff some action pattern matches the concrete ``action``,
@@ -301,71 +268,59 @@ class PolicyDocument:
 
     statements: tuple[Statement, ...]
     name: str = field(default="policy", compare=False)
-    version: str = POLICY_VERSION
-
-    def __post_init__(self) -> None:
-        if self.version != POLICY_VERSION:
-            raise PolicyParseError(
-                f"unsupported policy version {self.version!r}; expected {POLICY_VERSION!r}"
-            )
 
 
-def _string_or_list(value: object, what: str, where: str) -> list[str]:
+def _string_or_list(value: object, what: str) -> list[str]:
     if isinstance(value, str):
         items = [value]
     elif isinstance(value, list) and all(isinstance(v, str) for v in value):
         items = list(value)
     else:
-        raise PolicyParseError(f"{where}: {what} must be a string or list of strings")
+        raise PolicyParseError(f"{what} must be a string or list of strings")
     if not items:
-        raise PolicyParseError(f"{where}: {what} list is empty")
+        raise PolicyParseError(f"{what} list is empty")
     return items
 
 
-def _parse_condition(value: object, where: str) -> ConditionBlock:
+def _parse_condition(value: object) -> ConditionBlock:
     if not isinstance(value, dict):
-        raise PolicyParseError(f"{where}: Condition must be an object")
+        raise PolicyParseError("Condition must be an object")
     clauses: dict[str, dict[str, tuple[str, ...]]] = {}
     for operator, keys in value.items():
         if operator not in CONDITION_OPERATORS:
-            raise PolicyParseError(
-                f"{where}: unsupported condition operator {operator!r}"
-            )
+            raise PolicyParseError(f"unsupported condition operator {operator!r}")
         if not isinstance(keys, dict):
-            raise PolicyParseError(f"{where}: condition {operator} must map keys to values")
+            raise PolicyParseError(f"condition {operator} must map keys to values")
         clauses[operator] = {
-            key: tuple(_string_or_list(vals, f"condition value for {key!r}", where))
+            key: tuple(_string_or_list(vals, f"condition value for {key!r}"))
             for key, vals in keys.items()
         }
     return ConditionBlock(clauses)
 
 
-def _parse_statement(obj: object, index: int) -> Statement:
-    where = f"statement {index}"
+def _parse_statement(obj: object) -> Statement:
+    """Parse one statement; :func:`parse_policy` adds its location to errors."""
     if not isinstance(obj, dict):
-        raise PolicyParseError(f"{where}: must be an object")
+        raise PolicyParseError("must be an object")
     unknown = sorted(set(obj) - _STATEMENT_KEYS)
     if unknown:
-        raise PolicyParseError(f"{where}: unknown field(s) {', '.join(unknown)}")
+        raise PolicyParseError(f"unknown field(s) {', '.join(unknown)}")
     for required in ("Effect", "Action", "Resource"):
         if required not in obj:
-            raise PolicyParseError(f"{where}: missing {required}")
+            raise PolicyParseError(f"missing {required}")
     effect_raw = obj["Effect"]
     if effect_raw not in (Effect.ALLOW.value, Effect.DENY.value):
-        raise PolicyParseError(f"{where}: invalid Effect {effect_raw!r}")
-    action_texts = _string_or_list(obj["Action"], "Action", where)
-    resource_texts = _string_or_list(obj["Resource"], "Resource", where)
-    try:
-        actions = tuple(ActionPattern.parse(a) for a in action_texts)
-        resources_ = tuple(ResourcePattern(r) for r in resource_texts)
-    except PolicyParseError as exc:
-        raise PolicyParseError(f"{where}: {exc}") from exc
+        raise PolicyParseError(f"invalid Effect {effect_raw!r}")
+    action_texts = _string_or_list(obj["Action"], "Action")
+    resource_texts = _string_or_list(obj["Resource"], "Resource")
+    actions = tuple(ActionPattern.parse(a) for a in action_texts)
+    resources_ = tuple(ResourcePattern(r) for r in resource_texts)
     principals: tuple[str, ...] | None = None
     if "Principal" in obj:
-        principals = tuple(_string_or_list(obj["Principal"], "Principal", where))
+        principals = tuple(_string_or_list(obj["Principal"], "Principal"))
     condition = ConditionBlock()
     if "Condition" in obj:
-        condition = _parse_condition(obj["Condition"], where)
+        condition = _parse_condition(obj["Condition"])
     return Statement(
         effect=Effect(effect_raw),
         actions=actions,
@@ -401,8 +356,13 @@ def parse_policy(text: str | dict, name: str = "policy") -> PolicyDocument:
     statements_raw = raw.get("Statement")
     if not isinstance(statements_raw, list):
         raise PolicyParseError("Statement must be a list")
-    statements = tuple(_parse_statement(s, i) for i, s in enumerate(statements_raw))
-    return PolicyDocument(statements=statements, name=name)
+    statements = []
+    for index, obj in enumerate(statements_raw):
+        try:
+            statements.append(_parse_statement(obj))
+        except PolicyParseError as exc:
+            raise PolicyParseError(f"statement {index}: {exc}") from exc
+    return PolicyDocument(statements=tuple(statements), name=name)
 
 
 def policy_to_obj(doc: PolicyDocument) -> dict:
@@ -414,13 +374,13 @@ def policy_to_obj(doc: PolicyDocument) -> dict:
             out["Principal"] = list(stmt.principals)
         out["Action"] = [a.text for a in stmt.actions]
         out["Resource"] = [r.pattern for r in stmt.resources]
-        if not stmt.condition.is_empty:
+        if stmt.condition.clauses:
             out["Condition"] = {
                 operator: {key: list(values) for key, values in keys.items()}
                 for operator, keys in stmt.condition.clauses.items()
             }
         statements.append(out)
-    return {"Version": doc.version, "Statement": statements}
+    return {"Version": POLICY_VERSION, "Statement": statements}
 
 
 def serialize_policy(doc: PolicyDocument, indent: int | None = None) -> str:
@@ -447,20 +407,30 @@ def action_matches(pattern: Union[ActionPattern, str], action: str) -> bool:
     if isinstance(pattern, str):
         pattern = ActionPattern.parse(pattern)
     split_action(action)
-    prefix = pattern.prefix
-    return action == pattern.text if prefix is None else action.startswith(prefix)
+    return glob_match(pattern.text, action)
 
 
 def resource_matches(pattern: Union[ResourcePattern, str], arn: str) -> bool:
     """True iff the concrete ``arn`` is in the pattern's language."""
     if isinstance(pattern, str):
         pattern = ResourcePattern(pattern)
-    return pattern.matches(arn)
+    return glob_match(pattern.pattern, arn)
 
 
 def condition_holds(block: ConditionBlock, context: Mapping[str, str]) -> bool:
     """True iff every clause of ``block`` holds under ``context``."""
-    return block.holds(context)
+    for operator, keys in block.clauses.items():
+        for key, values in keys.items():
+            actual = context.get(key)
+            if actual is None:
+                return False
+            if operator == "StringEquals":
+                if actual not in values:
+                    return False
+            else:  # StringLike
+                if not any(glob_match(v, actual) for v in values):
+                    return False
+    return True
 
 
 def classify_action_level(pattern: Union[ActionPattern, str]) -> ActionLevel:

@@ -224,9 +224,10 @@ def install_sole_permission_set(
     """What-if org where ``document`` is the user's only grant in ``account``.
 
     Every assignment that reached the (user, account) pair, directly or via
-    a group, is dropped and replaced with a single user-level assignment of
-    a fresh permission set holding the document. Resources, shares and
-    other principals' grants are untouched.
+    a group, is dropped. A fresh permission set holding the document, and a
+    user-level assignment of it, are appended after the parent's permission
+    sets and remaining assignments, which keep the parent's order. Resources,
+    shares and other principals' grants are untouched.
     """
     member_of = set(org.user(user).groups)
     ps_id = "generated-replay"
@@ -240,15 +241,9 @@ def install_sole_permission_set(
             return a.subject == user
         return a.subject in member_of
 
-    assignments = tuple(sorted(
-        [a for a in org.assignments if not reaches(a)]
-        + [Assignment("user", user, account, ps_id)],
-        key=lambda a: (a.subject, a.account, a.permission_set, a.subject_kind),
-    ))
-    permission_sets = tuple(sorted(
-        org.permission_sets + (PermissionSet(id=ps_id, policies=(document,)),),
-        key=lambda p: p.id,
-    ))
+    assignments = tuple(a for a in org.assignments if not reaches(a)) + (
+        Assignment("user", user, account, ps_id),)
+    permission_sets = org.permission_sets + (PermissionSet(id=ps_id, policies=(document,)),)
     return dataclasses.replace(org, assignments=assignments, permission_sets=permission_sets)
 
 

@@ -24,7 +24,7 @@ from iamsim import (
     resource_matches,
     serialize_policy,
 )
-from iamsim.policy import glob_match, split_action
+from iamsim.policy import _lower, glob_match, split_action
 
 from conftest import BOOKS_TABLE_ARN, BOOKS_TABLE_POLICY
 from generators import (
@@ -54,7 +54,7 @@ class TestParse:
         assert [a.text for a in stmt.actions] == ["dynamodb:*"]
         assert [r.pattern for r in stmt.resources] == [BOOKS_TABLE_ARN]
         assert stmt.principals is None
-        assert stmt.condition.is_empty
+        assert not stmt.condition.clauses
 
     def test_empty_statement_list(self):
         doc = parse_policy('{"Version":"2012-10-17","Statement":[]}')
@@ -85,6 +85,9 @@ class TestParse:
         ("Action", 5, "statement 0: Action must be a string or list of strings"),
         ("Resource", [], "statement 0: Resource list is empty"),
         ("Action", "s3", "statement 0: invalid action pattern 's3': expected 'service:operation'"),
+        ("Principal", [], "statement 0: Principal list is empty"),
+        ("Condition", {"StringEquals": {"": "x"}},
+         "statement 0: condition keys must be non-empty strings"),
     ])
     def test_statement_errors_are_prefixed_once(self, field, value, message):
         stmt = {"Effect": "Allow", "Action": "s3:GetObject", "Resource": "*", field: value}
@@ -280,7 +283,7 @@ class TestResourceMatching:
 
 
 class TestCompiledStatement:
-    """A statement's lowered patterns decide exactly as its patterns one by one."""
+    """A statement's lowered patterns decide as glob_match does on each pattern's text."""
 
     resource_patterns = st.one_of(
         glob_patterns.filter(bool), st.sampled_from(["*", "x*", "*x", "a*b", "**"]),
@@ -310,13 +313,18 @@ class TestCompiledStatement:
         ("*x", "glob"), ("a*b", "glob"), ("**", "glob"),
     ])
     def test_resource_lowering(self, pattern, kind):
-        assert ResourcePattern(pattern).kind == kind
+        assert _lower([pattern]) == {"literal": (frozenset({pattern}), (), ()),
+                                     "prefix": (frozenset(), (pattern[:-1],), ()),
+                                     "glob": (frozenset(), (), (pattern,))}[kind]
 
     @pytest.mark.parametrize("pattern,prefix", [
-        ("*", ""), ("s3:*", "s3:"), ("s3:Get*", "s3:Get"), ("s3:GetObject", None),
+        ("*", ""), ("*:*", ""), ("s3:*", "s3:"), ("s3:Get*", "s3:Get"), ("s3:GetObject", None),
     ])
     def test_action_lowering(self, pattern, prefix):
-        assert ActionPattern.parse(pattern).prefix == prefix
+        action = ActionPattern.parse(pattern)
+        stmt = Statement(effect=Effect.ALLOW, actions=(action,), resources=(ResourcePattern("*"),))
+        assert stmt._action_parts == ((frozenset({action.text}), ()) if prefix is None
+                                      else (frozenset(), (prefix,)))
 
 
 class TestConditions:
