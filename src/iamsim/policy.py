@@ -45,6 +45,7 @@ CONDITION_OPERATORS = ("StringEquals", "StringLike")
 
 _TOP_LEVEL_KEYS = frozenset({"Version", "Statement"})
 _STATEMENT_KEYS = frozenset({"Effect", "Principal", "Action", "Resource", "Condition"})
+_REQUIRED_STATEMENT_KEYS = frozenset({"Effect", "Action", "Resource"})
 
 _SERVICE_RE = re.compile(r"[a-z0-9-]+\Z")
 _OPERATION_RE = re.compile(r"[A-Za-z0-9]+\Z")  # also the verb-table alphabet
@@ -57,6 +58,9 @@ class PolicyParseError(ValueError):
 class Effect(str, Enum):
     ALLOW = "Allow"
     DENY = "Deny"
+
+
+_EFFECTS = {e.value: e for e in Effect}
 
 
 class Verdict(str, Enum):
@@ -186,7 +190,8 @@ class ConditionBlock:
             for key, values in keys.items():
                 if not isinstance(key, str) or not key:
                     raise PolicyParseError("condition keys must be non-empty strings")
-                if not values or not all(isinstance(v, str) for v in values):
+                if (not isinstance(values, (tuple, list)) or not values
+                        or not all(isinstance(v, str) for v in values)):
                     raise PolicyParseError(
                         f"condition key {key!r} needs at least one string value"
                     )
@@ -274,7 +279,7 @@ def _string_or_list(value: object, what: str) -> list[str]:
     if isinstance(value, str):
         items = [value]
     elif isinstance(value, list) and all(isinstance(v, str) for v in value):
-        items = list(value)
+        items = value
     else:
         raise PolicyParseError(f"{what} must be a string or list of strings")
     if not items:
@@ -298,31 +303,39 @@ def _parse_condition(value: object) -> ConditionBlock:
     return ConditionBlock(clauses)
 
 
+# Policies repeat a few action texts many times (the benchmark's large org has
+# 66 distinct texts among 2,761 action patterns); patterns are frozen, so the
+# statements share one parse of each text.
+_action_pattern = functools.lru_cache(maxsize=1024)(ActionPattern.parse)
+_NO_CONDITION = ConditionBlock()  # shared by every statement without a Condition
+
+
 def _parse_statement(obj: object) -> Statement:
     """Parse one statement; :func:`parse_policy` adds its location to errors."""
     if not isinstance(obj, dict):
         raise PolicyParseError("must be an object")
-    unknown = sorted(set(obj) - _STATEMENT_KEYS)
-    if unknown:
+    if not obj.keys() <= _STATEMENT_KEYS:
+        unknown = sorted(obj.keys() - _STATEMENT_KEYS)
         raise PolicyParseError(f"unknown field(s) {', '.join(unknown)}")
-    for required in ("Effect", "Action", "Resource"):
-        if required not in obj:
-            raise PolicyParseError(f"missing {required}")
+    if not obj.keys() >= _REQUIRED_STATEMENT_KEYS:
+        missing = next(k for k in ("Effect", "Action", "Resource") if k not in obj)
+        raise PolicyParseError(f"missing {missing}")
     effect_raw = obj["Effect"]
-    if effect_raw not in (Effect.ALLOW.value, Effect.DENY.value):
+    effect = _EFFECTS.get(effect_raw) if isinstance(effect_raw, str) else None
+    if effect is None:
         raise PolicyParseError(f"invalid Effect {effect_raw!r}")
     action_texts = _string_or_list(obj["Action"], "Action")
     resource_texts = _string_or_list(obj["Resource"], "Resource")
-    actions = tuple(ActionPattern.parse(a) for a in action_texts)
-    resources_ = tuple(ResourcePattern(r) for r in resource_texts)
+    actions = tuple(map(_action_pattern, action_texts))
+    resources_ = tuple(map(ResourcePattern, resource_texts))
     principals: tuple[str, ...] | None = None
     if "Principal" in obj:
         principals = tuple(_string_or_list(obj["Principal"], "Principal"))
-    condition = ConditionBlock()
+    condition = _NO_CONDITION
     if "Condition" in obj:
         condition = _parse_condition(obj["Condition"])
     return Statement(
-        effect=Effect(effect_raw),
+        effect=effect,
         actions=actions,
         resources=resources_,
         condition=condition,
@@ -346,8 +359,8 @@ def parse_policy(text: str | dict, name: str = "policy") -> PolicyDocument:
             raise PolicyParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PolicyParseError("policy document must be a JSON object")
-    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
-    if unknown:
+    if not raw.keys() <= _TOP_LEVEL_KEYS:
+        unknown = sorted(raw.keys() - _TOP_LEVEL_KEYS)
         raise PolicyParseError(f"unknown top-level field(s) {', '.join(unknown)}")
     if raw.get("Version") != POLICY_VERSION:
         raise PolicyParseError(

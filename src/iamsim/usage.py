@@ -27,6 +27,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import filterfalse, product
 from typing import Callable, Hashable
 
 from .audit import EventKind, format_timestamp
@@ -352,12 +353,7 @@ def complement_sample(
     """
     actions = sorted(index.actions_seen())
     resources = sorted(r.arn for r in index.org.resources)
-    universe = [
-        (action, resource)
-        for action in actions
-        for resource in resources
-        if (action, resource) not in observed_pairs
-    ]
+    universe = list(filterfalse(observed_pairs.__contains__, product(actions, resources)))
     if len(universe) <= DEFAULT_SAMPLE_CAP:
         return universe
     return random.Random(seed).sample(universe, DEFAULT_SAMPLE_CAP)

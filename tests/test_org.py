@@ -1,11 +1,12 @@
 """Organization building, validation, tree queries and policy resolution."""
 
+import copy
 import dataclasses
 import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iamsim import (
@@ -17,6 +18,7 @@ from iamsim import (
     shares_covering,
     validate_org,
 )
+import iamsim.org as org_module
 from iamsim.org import (
     Account,
     Assignment,
@@ -114,6 +116,34 @@ class TestBuild:
         with pytest.raises(ScenarioError) as err:
             build_org(scenario)
         assert len(err.value.violations) == 2
+
+    def test_assignment_violations_in_order(self):
+        org = build_org(minimal_scenario())
+        org = dataclasses.replace(
+            org,
+            users=(SsoUser("u1"),),
+            groups=(SsoGroup("g1"),),
+            permission_sets=(PermissionSet("p1"),),
+            assignments=(
+                Assignment("user", "u1", "000000000042", "p1"),
+                Assignment("user", "u1", "000000000042", "p1"),
+                Assignment("user", "u9", "000000000042", "p1"),
+                Assignment("group", "g9", "000000000099", "p9"),
+                Assignment("group", "g1", "000000000042", "p1"),
+                Assignment("role", "u1", "000000000042", "p1"),
+            ),
+        )
+        assert validate_org(org) == [
+            "duplicate assignment (user u1, account 000000000042, permission set p1)",
+            "assignment (user u9, account 000000000042, permission set p1): unknown user u9",
+            "assignment (group g9, account 000000000099, permission set p9): unknown group g9",
+            "assignment (group g9, account 000000000099, permission set p9): "
+            "unknown account 000000000099",
+            "assignment (group g9, account 000000000099, permission set p9): "
+            "unknown permission set p9",
+            "assignment (role u1, account 000000000042, permission set p1): "
+            "unknown subject kind",
+        ]
 
     def test_account_in_two_ous(self):
         scenario = minimal_scenario()
@@ -342,6 +372,165 @@ class TestBuild:
         with pytest.raises(ScenarioError) as err:
             build_org(scenario)
         assert err.value.violations == [f"{where}.{field}: expected a string"]
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _record_paths(scenario):
+    """The path of every record in a scenario, the scenario itself included."""
+    paths = [(), ("organization",)]
+    stack = [("organization", "root")]
+    while stack:
+        path = stack.pop()
+        paths.append(path)
+        ou = _at(scenario, path)
+        paths += [(*path, "accounts", i) for i, a in enumerate(ou.get("accounts", []))
+                  if isinstance(a, dict)]
+        stack += [(*path, "children", i) for i in range(len(ou.get("children", [])))]
+    for section in ("users", "groups", "permission_sets", "assignments", "resources", "shares"):
+        paths += [(section, i) for i in range(len(scenario.get(section, [])))]
+    paths += [("permission_sets", i, "policies", j)
+              for i, p in enumerate(scenario.get("permission_sets", []))
+              for j in range(len(p.get("policies", [])))]
+    return paths
+
+
+def _mutate(scenario, path, rng):
+    """The scenario with the record at ``path`` changed in one way; records
+    are changed in place. An earlier change may have removed the record."""
+    try:
+        record = _at(scenario, path)
+    except (KeyError, IndexError, TypeError):
+        return scenario
+    if not isinstance(record, dict):
+        return scenario
+    field = rng.choice(sorted(record)) if record else "extra"
+    how = rng.choice(["str subclass", "dict subclass", "tuple", "extra key", "missing key",
+                      "scalar", "item", "subject"])
+    if how == "dict subclass":
+        if not path:
+            return _Dict(record)
+        _at(scenario, path[:-1])[path[-1]] = _Dict(record)
+    elif how == "str subclass" and isinstance(record.get(field), str):
+        record[field] = _Str(record[field])
+    elif how == "tuple" and isinstance(record.get(field), list):
+        record[field] = tuple(record[field])
+    elif how == "extra key":
+        record[rng.choice(["extra", "id", "name", "user", "group", "resource_policy"])] = "x"
+    elif how == "missing key":
+        record.pop(field, None)
+    elif how == "scalar":
+        record[field] = rng.choice([True, False, 0, 7, None, 1.5])
+    elif how == "item" and isinstance(record.get(field), list) and record[field]:
+        items = record[field]
+        i = rng.randrange(len(items))
+        items[i] = rng.choice([_Str(items[i]) if isinstance(items[i], str) else "x", 5, None])
+    elif how == "subject" and {"account", "permission_set"} <= record.keys():
+        for subject in ("user", "group"):
+            if rng.random() < 0.5:
+                record.pop(subject, None)
+            else:
+                record[subject] = rng.choice(["user00", "group0", _Str("user01")])
+    return scenario
+
+
+def _one_record_per_key_set(scenario):
+    """The path of the first record at each place of the scenario (such as
+    ``assignments[i]``) for each key set found there."""
+    paths = {}
+    for path in _record_paths(scenario):
+        place = tuple(p if isinstance(p, str) else 0 for p in path)
+        paths.setdefault((place, frozenset(_at(scenario, path))), path)
+    return list(paths.values())
+
+
+class TestFastPath:
+    """build_org reads a well-formed record as it is; every scenario must give
+    the org or the violations that _record's full check of every record gives."""
+
+    @staticmethod
+    def outcome(scenario, fast=True):
+        with pytest.MonkeyPatch.context() as patch:
+            if not fast:  # no key set is taken, so every record goes to _record
+                patch.setattr(org_module, "_SHAPES", {kind: () for kind in org_module._SHAPES})
+            try:
+                return build_org(copy.deepcopy(scenario))
+            except ScenarioError as exc:
+                return exc.violations
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mutations=st.integers(0, 3),
+           exported=st.booleans())
+    def test_fast_and_full_checks_agree(self, seed, mutations, exported):
+        rng = random.Random(seed)
+        scenario = random_scenario(rng, n_groups=rng.randint(0, 2))
+        if exported:  # records holding every field, as export_scenario writes them
+            scenario = export_scenario(build_org(scenario))
+        paths = _record_paths(scenario)
+        for path in rng.sample(paths, k=min(mutations, len(paths))):
+            scenario = _mutate(scenario, path, rng)
+        fast = self.outcome(scenario)
+        assert fast == self.outcome(scenario, fast=False)
+        if isinstance(fast, Organization):
+            assert fast.assignments == tuple(sorted(
+                fast.assignments,
+                key=lambda a: (a.subject, a.account, a.permission_set, a.subject_kind)))
+
+    @pytest.mark.parametrize("exported", [False, True])
+    def test_every_field_change_agrees(self, demo_scenario_path, exported):
+        demo = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        if exported:
+            demo = export_scenario(build_org(demo))
+        for path in _one_record_per_key_set(demo):
+            for field in [*_at(demo, path), "extra"]:
+                value = _at(demo, path).get(field)
+                changes = [True, 0, None, 1.5, "x", [], ["x", 5], {}, _Str("x")]
+                if isinstance(value, str):
+                    changes.append(_Str(value))
+                if isinstance(value, list):
+                    changes += [tuple(value), [_Str(v) if isinstance(v, str) else v
+                                               for v in value]]
+                for change in [*changes, "drop"]:
+                    scenario = copy.deepcopy(demo)
+                    record = _at(scenario, path)
+                    if change == "drop":
+                        record.pop(field, None)
+                    else:
+                        record[field] = change
+                    fast = self.outcome(scenario)
+                    assert fast == self.outcome(scenario, fast=False), (path, field, change)
+
+    def test_field_changes_reach_every_key_set(self, demo_scenario_path):
+        # build_org states its per-kind checks inline for speed; changing every
+        # field of a record of each key set the fast path reads, as the test
+        # above does, is what ties those checks to the types in _SPECS
+        demo = json.loads(demo_scenario_path.read_text(encoding="utf-8"))
+        changed = {frozenset(_at(scenario, path))
+                   for scenario in (demo, export_scenario(build_org(demo)))
+                   for path in _one_record_per_key_set(scenario)}
+        for kind, key_sets in org_module._SHAPES.items():
+            assert set(key_sets) <= changed, kind
+
+    def test_exported_records_take_the_fast_path(self, monkeypatch):
+        scenario = export_scenario(build_org(random_scenario(random.Random(7))))
+        checked = []
+        real = org_module._record
+
+        def counting(obj, kind, where):
+            checked.append(kind)
+            return real(obj, kind, where)
+
+        monkeypatch.setattr(org_module, "_record", counting)
+        build_org(scenario)
+        # only the scenario, the organization and the OUs, whose empty
+        # lists an export leaves out, take the full check
+        assert set(checked) <= {"scenario", "organization", "OU"}
 
 
 class TestProvision:

@@ -95,6 +95,37 @@ class TestParse:
             parse_policy(json.dumps({"Version": "2012-10-17", "Statement": [stmt]}))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("missing, message", [
+        (("Effect", "Action"), "statement 0: missing Effect"),
+        (("Action", "Resource"), "statement 0: missing Action"),
+        (("Resource",), "statement 0: missing Resource"),
+    ])
+    def test_the_first_missing_field_is_named(self, missing, message):
+        stmt = {"Effect": "Allow", "Action": "s3:GetObject", "Resource": "*"}
+        for key in missing:
+            del stmt[key]
+        with pytest.raises(PolicyParseError) as err:
+            parse_policy({"Version": "2012-10-17", "Statement": [stmt]})
+        assert str(err.value) == message
+
+    def test_unknown_top_level_fields_are_listed_sorted(self):
+        with pytest.raises(PolicyParseError) as err:
+            parse_policy('{"Version":"2012-10-17","Statement":[],"Id":"x","Extra":1}')
+        assert str(err.value) == "unknown top-level field(s) Extra, Id"
+
+    def test_statements_share_the_parse_of_an_action_text(self):
+        stmt = {"Effect": "Allow", "Action": "s3:GetObject", "Resource": "*"}
+        first, second = parse_policy(
+            {"Version": "2012-10-17", "Statement": [stmt, dict(stmt, Effect="Deny")]}
+        ).statements
+        assert first.actions[0] is second.actions[0]
+        assert first.condition == second.condition == ConditionBlock()
+        # a text that fails to parse fails every time
+        for _ in range(2):
+            with pytest.raises(PolicyParseError, match="one trailing"):
+                parse_policy({"Version": "2012-10-17",
+                              "Statement": [dict(stmt, Action="s3:G*t")]})
+
     @pytest.mark.parametrize("mutate", [
         lambda s: s.update(Sid="x"),
         lambda s: s.update(NotAction="s3:*"),
@@ -358,6 +389,18 @@ class TestConditions:
     def test_unknown_operator_rejected(self):
         with pytest.raises(PolicyParseError):
             ConditionBlock({"IpAddress": {"ip": ("10.0.0.0/8",)}})
+
+    @pytest.mark.parametrize("values", ["prod", "", b"prod", {"prod": 1}, ("prod", 5), []])
+    def test_value_list_must_be_a_list_of_strings(self, values):
+        # a bare string would be taken for the list of its characters
+        with pytest.raises(PolicyParseError,
+                           match="^condition key 'env' needs at least one string value$"):
+            ConditionBlock({"StringEquals": {"env": values}})
+
+    def test_value_list_may_be_a_list(self):
+        block = ConditionBlock({"StringEquals": {"env": ["prod"]}})
+        assert condition_holds(block, {"env": "prod"})
+        assert not condition_holds(block, {"env": "p"})
 
 
 # ---------------------------------------------------------------------------

@@ -542,3 +542,38 @@ class TestClassReplay:
         observed = index.observed_in_window(("dev", ACCT), GEN_WINDOW)
         assert v == per_pair_verify(calls[0][0], ("dev", ACCT), observed,
                                     complement_sample(index, observed))
+
+
+def list_sample(index, observed, seed):
+    """The complement sample drawn from the universe built as a list."""
+    actions = sorted(index.actions_seen())
+    resources = sorted(r.arn for r in index.org.resources)
+    universe = [(a, r) for a in actions for r in resources if (a, r) not in observed]
+    if len(universe) <= usage.DEFAULT_SAMPLE_CAP:
+        return universe
+    return random.Random(seed).sample(universe, usage.DEFAULT_SAMPLE_CAP)
+
+
+class TestComplementSample:
+    """The universe is built from the product at C level; the sample must be
+    the one drawn from the list the comprehension builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_the_list_sample(self, seed, data):
+        rng = random.Random(seed)
+        index = activity_index(rng)
+        pairs = [(a, r.arn) for a in index.actions_seen() for r in index.org.resources]
+        observed = data.draw(st.sampled_from(["none", "some", "all"]))
+        observed = {"none": set(), "all": set(pairs),
+                    "some": set(rng.sample(pairs, k=rng.randint(0, len(pairs))))}[observed]
+        # observed pairs outside the universe change nothing
+        observed |= {("s3:GetObject", "arn:aws:s3:::unregistered"),
+                     ("zz:Never", "arn:aws:s3:::bkt-0/k0")}
+        # caps below and above the universe's size take each of the sampler's paths
+        cap = data.draw(st.integers(0, len(pairs) + 1))
+        sample_seed = data.draw(st.integers(0, 2**16))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(usage, "DEFAULT_SAMPLE_CAP", cap)
+            assert complement_sample(index, observed, sample_seed) == \
+                list_sample(index, observed, sample_seed)
