@@ -5,7 +5,9 @@ For each benchmark workload, writes the seeded inputs with
 ``perfbench/gen.py`` into a temporary directory and runs a fixed list of
 commands there, in process, through ``iamsim.cli.main``. Prints one line per
 command: the workload, the command, and the sha256 of its exit code, stdout
-and stderr, followed by the content of any file the command writes. Two
+and stderr, followed by the content of any file the command writes. The
+audit commands also read one per-account log re-encoded with spaces after
+``:`` and ``,``, so the digests cover both ways a log line is read. Two
 checkouts produce the same output exactly when a ``diff`` of their runs is
 empty:
 
@@ -74,6 +76,14 @@ def busiest_principal(log: str) -> tuple[str, str]:
     return min(allowed, key=lambda p: (-allowed[p], p))
 
 
+def redump(log: str, out: str) -> None:
+    """Copy ``log`` with every line re-encoded by ``json.dumps`` with its
+    default separators, so that no line is in iamsim's own compact form."""
+    with open(log, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+        for line in src:
+            dst.write(json.dumps(json.loads(line)) + "\n")
+
+
 def commands(manifest: dict):
     """Yield (label, argv, written files) in run order; later commands read
     the log and the archive that earlier ones write."""
@@ -111,6 +121,12 @@ def commands(manifest: dict):
             yield None, ["--format", fmt, "audit", "query", "archive.jsonl", *query["argv"]], ()
         yield None, ["--format", fmt, "audit", "denied-summary", "archive.jsonl",
                      "--bucket", manifest["denied_bucket"]], ()
+    # the same events in another JSON layout, which readers decode in full
+    redump(manifest["log_files"][0], "spaced.jsonl")
+    for fmt in FORMATS:
+        yield None, ["--format", fmt, "audit", "merge", "spaced.jsonl",
+                     "--out", "spaced-archive.jsonl"], ("spaced-archive.jsonl",)
+        yield None, ["--format", fmt, "audit", "query", "spaced.jsonl", "--verdict", "Deny"], ()
 
 
 def main() -> int:

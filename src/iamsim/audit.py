@@ -11,12 +11,18 @@ fields time, kind, user, account, action, resource, verdict, source, every
 one a JSON string. Timestamps are strict: exactly ``YYYY-MM-DDTHH:MM:SSZ``
 in UTC with ASCII digits (``2024-01-01T00:00:00Z``); single-digit fields,
 offsets, fractions and other digit scripts are rejected, never coerced.
-:class:`EventStream` decodes a log one line at a time through
-:func:`event_from_obj`, so :func:`query` and :func:`denied_access_summary`
-read a log in one pass without holding it; :func:`read_archive` gathers a
-stream into an archive, and :func:`write_archive` encodes every event through
-:func:`event_to_line`, replacing a regular target file atomically (see
-:mod:`iamsim.atomic`).
+:class:`EventStream` decodes a log one line at a time, so :func:`query` and
+:func:`denied_access_summary` read a log in one pass without holding it;
+:func:`read_archive` gathers a stream into an archive, and
+:func:`write_archive` encodes every event through :func:`event_to_line`,
+replacing a regular target file atomically (see :mod:`iamsim.atomic`).
+
+A line in the exact form :func:`event_to_line` writes, every value printable
+ASCII with no quote or backslash and so free of escapes, is read by one regex
+match and the same checks :func:`event_from_obj` makes. Every other line, and
+any such line that fails a check, is decoded by ``json.loads`` and checked by
+:func:`event_from_obj`, so every error message is the JSON decoder's or
+:func:`event_from_obj`'s.
 """
 
 from __future__ import annotations
@@ -120,13 +126,20 @@ def _not_a_string(name: str, value: object) -> str:
 
 
 def _checked_source(kind: EventKind, user, account, action, resource, source) -> str:
-    """Check an event's text fields against its kind; returns its source,
-    which defaults to the account. The one place these rules are stated."""
+    """Check that an event's text fields are strings, then apply
+    :func:`_kind_rules`; returns its source."""
     if not (isinstance(user, str) and isinstance(account, str) and isinstance(action, str)
             and isinstance(resource, str) and isinstance(source, str)):
         for name, value in zip(_STRING_FIELDS, (user, account, action, resource, source)):
             if not isinstance(value, str):
                 raise EventError(_not_a_string(name, value))
+    return _kind_rules(kind, user, account, action, resource, source)
+
+
+def _kind_rules(kind: EventKind, user: str, account: str, action: str, resource: str,
+                source: str) -> str:
+    """Check an event's text fields against its kind; returns its source,
+    which defaults to the account. The one place these rules are stated."""
     if kind is EventKind.API_CALL:
         if not action or not resource:
             raise EventError("ApiCall events need a non-empty action and resource")
@@ -198,15 +211,19 @@ def event_from_obj(obj: object) -> AuditEvent:
     when = parse_timestamp(time)
     user, account, action, resource = obj["user"], obj["account"], obj["action"], obj["resource"]
     source = _checked_source(event_kind, user, account, action, resource, obj["source"])
-    # every field is checked, so the event is built without __init__; the
-    # fields are set in declaration order, as __init__ sets them, so that
-    # all events keep sharing their class's attribute key table
+    return _checked_event(when, event_kind, user, account, event_verdict, action, resource, source)
+
+
+def _checked_event(time, kind, user, account, verdict, action, resource, source) -> AuditEvent:
+    """An event of fields that are already checked, built without __init__.
+    The fields are set in declaration order, as __init__ sets them, so that
+    all events keep sharing their class's attribute key table."""
     event = _new_object(AuditEvent)
-    _set_field(event, "time", when)
-    _set_field(event, "kind", event_kind)
+    _set_field(event, "time", time)
+    _set_field(event, "kind", kind)
     _set_field(event, "user", user)
     _set_field(event, "account", account)
-    _set_field(event, "verdict", event_verdict)
+    _set_field(event, "verdict", verdict)
     _set_field(event, "action", action)
     _set_field(event, "resource", resource)
     _set_field(event, "source", source)
@@ -262,21 +279,37 @@ def write_archive(archive: LogArchive, path) -> None:
             fh.writelines(map(event_to_line, archive.events))
 
 
-_scan_json = json.JSONDecoder().scan_once
+# a line exactly as event_to_line writes it when every value is printable
+# ASCII with no quote or backslash, so that each captured value equals its
+# JSON decoding; DEL (0x7f) is in the class, since JSON takes it raw
+_VALUE = r'"([ !#-\[\]-\x7f]*)"'
+_LINE = re.compile(
+    r'\{"time":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"'
+    + "".join(f',"{name}":{_VALUE}'
+              for name in ("kind", "user", "account", "action", "resource", "verdict", "source"))
+    + r'\}\n'
+)
 
 
-def _decode_line(line: str):
-    """``json.loads(line)``, in one call to the decoder's scanner when the
-    line is exactly one JSON value and a newline. Any other line, and any line
-    the scanner refuses, goes to ``json.loads``, which gives its own result
-    or error."""
+def _canonical_event(line: str) -> AuditEvent | None:
+    """The event of a line that matches ``_LINE``, checked as
+    :func:`event_from_obj` checks it; ``None`` for any other line and for any
+    line that fails a check."""
+    m = _LINE.fullmatch(line)
+    if m is None:
+        return None
+    time, kind, user, account, action, resource, verdict, source = m.groups()
+    event_kind = _KINDS.get(kind)
+    event_verdict = _VERDICTS.get(verdict)
+    if event_kind is None or event_verdict is None:
+        return None
     try:
-        obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return json.loads(line)
-    if end == len(line) - 1 and line[end] == "\n":
-        return obj
-    return json.loads(line)
+        when = datetime.fromisoformat(time + "+00:00")
+        source = _kind_rules(event_kind, user, account, action, resource, source)
+    except ValueError:  # EventError included
+        return None
+    return _checked_event(when, event_kind, user, account, event_verdict, action, resource,
+                          source)
 
 
 class EventStream:
@@ -305,16 +338,17 @@ class EventStream:
         path = self.path
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                if not line.isascii():  # spares nearly every line of a log the call
+                event = _canonical_event(line)
+                if event is None:  # any other line is decoded and checked in full
+                    if line.isspace():
+                        continue
                     problem = utf8_problem(line, path, lineno)
                     if problem:
                         raise LogLineError(problem)
-                try:
-                    event = event_from_obj(_decode_line(line))
-                except (json.JSONDecodeError, RecursionError, EventError) as exc:
-                    raise LogLineError(f"{path}:{lineno}: {exc}") from exc
+                    try:
+                        event = event_from_obj(json.loads(line))
+                    except (json.JSONDecodeError, RecursionError, EventError) as exc:
+                        raise LogLineError(f"{path}:{lineno}: {exc}") from exc
                 self._count += 1
                 yield event
 

@@ -178,6 +178,10 @@ def cmd_authorize(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
+    # the log would be renamed into place first and then replaced by the
+    # decisions, so the clash is refused like a bad pair of flags
+    if args.out and args.emit_log and Path(args.out).resolve() == Path(args.emit_log).resolve():
+        raise CliError("--out and --emit-log name the same file")
     org = _load_org(args)
     # a missing directory is invalid input (exit 2), refused before any work
     for path in (args.out, args.emit_log):

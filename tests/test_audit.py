@@ -34,6 +34,7 @@ from iamsim.audit import (
     format_timestamp,
     parse_timestamp,
 )
+from iamsim.textin import open_text, utf8_problem
 
 from conftest import utc
 
@@ -278,6 +279,90 @@ def codec_events(draw):
     )
 
 
+def reference_stream(path):
+    """What :class:`EventStream` reads, with every line decoded by
+    ``event_from_obj(json.loads(line))``."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            problem = utf8_problem(line, path, lineno)
+            if problem:
+                raise LogLineError(problem)
+            try:
+                event = event_from_obj(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                raise LogLineError(f"{path}:{lineno}: {exc}") from exc
+            yield event
+
+
+def stream_outcome(events):
+    """The repr and attribute order of each event read, and the text of the
+    error that ended the read, if any."""
+    read = []
+    try:
+        for event in events:
+            read.append((repr(event), list(vars(event))))
+    except LogLineError as exc:
+        return read, str(exc)
+    return read, None
+
+
+def _compact(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _with_fields(**fields):
+    """A mutation that re-encodes a line in the canonical layout with
+    ``fields`` changed."""
+    return lambda line: _compact({**json.loads(line), **fields})
+
+
+def _inserting(key: str, text: str):
+    """A mutation that puts raw ``text`` at the start of ``key``'s value."""
+    return lambda line: line.replace(f'"{key}":"', f'"{key}":"{text}', 1)
+
+
+# each turns one canonical line into a line that must be read as the JSON
+# decoder reads it: a valid line in another layout, or an invalid one
+LINE_MUTATIONS = [
+    lambda line: _compact(dict(reversed(json.loads(line).items()))),  # keys swapped
+    lambda line: json.dumps(json.loads(line)) + "\n",  # spaces after ":" and ","
+    _inserting("user", "\\u0041"),
+    _inserting("account", "\\/"),
+    _inserting("user", "\u00e9"),  # non-ASCII
+    _inserting("user", "\u2028"),
+    _inserting("user", "\udcff"),  # the byte 0xff, which is not UTF-8
+    _inserting("user", "\t"),  # a raw control character
+    _inserting("user", "\x7f"),  # DEL, which JSON takes raw
+    _inserting("source", '\\"'),
+    lambda line: line[:-2] + ',"user":"zed"}\n',  # a duplicated key
+    lambda line: line[:-1] + "\r\n",
+    lambda line: line[:-1],  # no final newline
+    lambda line: " " + line,
+    lambda line: line[:-1] + " \n",
+    lambda line: line + "\n",
+    _with_fields(kind="Logout"),
+    _with_fields(kind="login"),
+    _with_fields(verdict="Maybe"),
+    _with_fields(time="2024-02-30T00:00:00Z"),
+    _with_fields(time="0000-01-01T00:00:00Z"),
+    _with_fields(time="2024-1-01T00:00:00Z"),
+    _with_fields(time="2024-01-01T00:00:00+00:00"),
+    _with_fields(kind="ApiCall", action="", resource="arn:aws:s3:::a"),
+    _with_fields(kind="ApiCall", action="s3:GetObject", resource=""),
+    _with_fields(kind="ApiCall", action="s3GetObject", resource="arn:aws:s3:::a"),
+    _with_fields(kind="Login", action="s3:GetObject", resource=""),
+    _with_fields(kind="Login", action="", resource="arn:aws:s3:::a"),
+    _with_fields(kind="ApiCall", action="s3:GetObject", resource="arn:aws:s3:::*"),
+    _with_fields(source=""),  # defaults to the account
+    _with_fields(user=""),
+    _with_fields(account=""),
+    _with_fields(user=5),
+    _with_fields(extra="x"),
+]
+
+
 class TestCodec:
     @given(st.lists(codec_events(), max_size=12))
     def test_line_encoder_matches_json_dumps(self, events):
@@ -297,6 +382,8 @@ class TestCodec:
         write_archive(read_archive(path), path)
         assert path.read_bytes() == first
 
+    # writes files, so a busy machine can stretch an example past the deadline
+    @settings(deadline=None)
     @given(st.one_of(
         # an event line with junk around it
         st.builds("{}{}{}".format,
@@ -307,15 +394,36 @@ class TestCodec:
         st.text(alphabet=st.sampled_from(list('{}[]",:0123456789.-eEtrufalsnNIy \n\t\\x\ufeff')),
                 max_size=12),
     ))
-    def test_line_decoder_matches_json_loads(self, line):
-        try:
-            expected = repr(json.loads(line))
-        except (ValueError, RecursionError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                audit._decode_line(line)
-            assert str(raised.value) == str(exc)
-        else:
-            assert repr(audit._decode_line(line)) == expected
+    def test_line_decoder_matches_json_loads(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("lines") / "log.jsonl"
+        path.write_text(line, encoding="utf-8")
+        assert stream_outcome(EventStream(path)) == stream_outcome(reference_stream(path))
+
+    # writes files, so a busy machine can stretch an example past the deadline
+    @settings(deadline=None)
+    @given(st.lists(codec_events(), min_size=1, max_size=4), st.data())
+    def test_stream_matches_json_loads_on_every_line(self, tmp_path_factory, events, data):
+        lines = [event_to_line(event) for event in events]
+        at = data.draw(st.integers(0, len(lines) - 1))
+        mutate = data.draw(st.sampled_from(LINE_MUTATIONS))
+        lines[at] = mutate(lines[at])
+        path = tmp_path_factory.mktemp("mutated") / "log.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        assert stream_outcome(EventStream(path)) == stream_outcome(reference_stream(path))
+
+    def test_canonical_lines_skip_the_json_decoder(self, tmp_path, monkeypatch):
+        archive = random_archive(random.Random(19), 30)
+        path = tmp_path / "log.jsonl"
+        write_archive(archive, path)
+
+        def unused(obj):
+            raise AssertionError("a canonical line reached event_from_obj")
+
+        monkeypatch.setattr(audit, "event_from_obj", unused)
+        events = tuple(EventStream(path))
+        assert events == archive.events
+        assert [repr(e) for e in events] == [repr(e) for e in archive.events]
+        assert all(list(vars(e)) == list(vars(archive.events[0])) for e in events)
 
     def test_stream_reads_its_file_once(self, tmp_path):
         archive = random_archive(random.Random(17), 12)

@@ -281,6 +281,23 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "reqs.jsonl"]
         assert list(a_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("log_name", ["same.jsonl", "./same.jsonl", "link.jsonl"])
+    def test_out_and_emit_log_must_differ(self, run, sharing_scenario_path, tmp_path,
+                                          monkeypatch, log_name):
+        requests = tmp_path / "reqs.jsonl"
+        requests.write_text(json.dumps({
+            "user": "user-1", "account": "111111111111",
+            "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+        }) + "\n", encoding="utf-8")
+        (tmp_path / "link.jsonl").symlink_to("same.jsonl")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            "--scenario", str(sharing_scenario_path), "simulate", str(requests),
+            "--out", "same.jsonl", "--emit-log", log_name,
+        )
+        assert (code, out, err) == (2, "", "--out and --emit-log name the same file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "reqs.jsonl"]
+
     def test_linked_outputs_are_written_through(self, run, sharing_scenario_path, tmp_path):
         requests = tmp_path / "reqs.jsonl"
         requests.write_text(json.dumps({
