@@ -7,7 +7,10 @@ commands there, in process, through ``iamsim.cli.main``. Prints one line per
 command: the workload, the command, and the sha256 of its exit code, stdout
 and stderr, followed by the content of any file the command writes. The
 audit commands also read one per-account log re-encoded with spaces after
-``:`` and ``,``, so the digests cover both ways a log line is read. Two
+``:`` and ``,``, so the digests cover both ways a log line is read. Two more
+merges cover the ways a merge reads its inputs: one of a shuffled
+per-account log, which is read in full and sorted, and one of a log with
+DEL characters and empty sources, whose lines are written re-encoded. Two
 checkouts produce the same output exactly when a ``diff`` of their runs is
 empty:
 
@@ -26,6 +29,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -84,6 +88,27 @@ def redump(log: str, out: str) -> None:
             dst.write(json.dumps(json.loads(line)) + "\n")
 
 
+def shuffle(log: str, out: str) -> None:
+    """Copy ``log`` with its lines in a seeded random order."""
+    with open(log, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    random.Random(0).shuffle(lines)
+    Path(out).write_text("".join(lines), encoding="utf-8")
+
+
+def reencode(log: str, out: str) -> None:
+    """Copy ``log`` with a DEL (0x7f) put raw into every third user name and
+    the source of every other third line emptied: both are valid, but
+    iamsim writes neither as read."""
+    with open(log, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+        for i, line in enumerate(src):
+            if i % 3 == 0:
+                line = line.replace('"user":"', '"user":"\x7f', 1)
+            elif i % 3 == 1:
+                line = line[:line.rindex('"source":')] + '"source":""}\n'
+            dst.write(line)
+
+
 def commands(manifest: dict):
     """Yield (label, argv, written files) in run order; later commands read
     the log and the archive that earlier ones write."""
@@ -127,6 +152,13 @@ def commands(manifest: dict):
         yield None, ["--format", fmt, "audit", "merge", "spaced.jsonl",
                      "--out", "spaced-archive.jsonl"], ("spaced-archive.jsonl",)
         yield None, ["--format", fmt, "audit", "query", "spaced.jsonl", "--verdict", "Deny"], ()
+    first, *rest = manifest["log_files"][:4]
+    shuffle(first, "shuffled.jsonl")
+    reencode(first, "reencoded.jsonl")
+    for log in ("shuffled.jsonl", "reencoded.jsonl"):
+        for fmt in FORMATS:
+            yield None, ["--format", fmt, "audit", "merge", *rest, log, *rest[:1],
+                         "--out", f"{log}-archive.jsonl"], (f"{log}-archive.jsonl",)
 
 
 def main() -> int:

@@ -16,11 +16,18 @@ offsets, fractions and other digit scripts are rejected, never coerced.
 :func:`read_archive` gathers a stream into an archive, and
 :func:`write_archive` encodes every event through :func:`event_to_line`,
 replacing a regular target file atomically (see :mod:`iamsim.atomic`).
+``audit merge`` streams too: :func:`_merge_streamed` merges one stream per
+input with ``heapq.merge`` into the staged archive, holding one pending
+event per input, and leaves the inputs to :func:`read_archive`,
+:func:`merge_archives` and :func:`write_archive` whenever it cannot give
+their result in one pass.
 
 A line in the exact form :func:`event_to_line` writes, every value printable
-ASCII with no quote or backslash and so free of escapes, is read by one regex
-match and the same checks :func:`event_from_obj` makes. Every other line, and
-any such line that fails a check, is decoded by ``json.loads`` and checked by
+ASCII with no quote, backslash or DEL and so free of escapes, and a source
+that is not empty, is read by one regex match and the same checks
+:func:`event_from_obj` makes; such a line is exactly :func:`event_to_line` of
+its event, so a merge writes it as it was read. Every other line, and any
+such line that fails a check, is decoded by ``json.loads`` and checked by
 :func:`event_from_obj`, so every error message is the JSON decoder's or
 :func:`event_from_obj`'s.
 """
@@ -28,15 +35,24 @@ any such line that fails a check, is decoded by ``json.loads`` and checked by
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import operator
+import os
 import re
+import stat
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import pairwise
 from json.encoder import encode_basestring_ascii as _json_str
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+try:
+    from resource import RLIM_INFINITY, RLIMIT_NOFILE, getrlimit
+except ImportError:  # no such limit to read, as on Windows
+    getrlimit = None
 
 from .atomic import replacing
 from .policy import (
@@ -281,13 +297,16 @@ def write_archive(archive: LogArchive, path) -> None:
 
 # a line exactly as event_to_line writes it when every value is printable
 # ASCII with no quote or backslash, so that each captured value equals its
-# JSON decoding; DEL (0x7f) is in the class, since JSON takes it raw
-_VALUE = r'"([ !#-\[\]-\x7f]*)"'
+# JSON decoding and its JSON encoding. DEL (0x7f), which JSON takes raw but
+# event_to_line escapes, is left out, and the source must not be empty,
+# since an empty one is filled in from the account: an accepted line is
+# then exactly event_to_line of its event.
+_VALUE = r'"([ !#-\[\]-~]*)"'
 _LINE = re.compile(
     r'\{"time":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"'
     + "".join(f',"{name}":{_VALUE}'
-              for name in ("kind", "user", "account", "action", "resource", "verdict", "source"))
-    + r'\}\n'
+              for name in ("kind", "user", "account", "action", "resource", "verdict"))
+    + r',"source":"([ !#-\[\]-~]+)"\}\n'
 )
 
 
@@ -326,15 +345,17 @@ class EventStream:
     def __init__(self, path) -> None:
         self.path = path
         self._count = 0
-        self._events = self._decode()
+        self._pairs = self._decode()
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return self._events
+        return map(_first, self._pairs)
 
     def __len__(self) -> int:
         return self._count
 
-    def _decode(self) -> Iterator[AuditEvent]:
+    def _decode(self) -> Iterator[tuple[AuditEvent, str | None]]:
+        """(event, line) for each event: the line as read when the fast path
+        took it, and so exactly ``event_to_line(event)``, else ``None``."""
         path = self.path
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -349,13 +370,77 @@ class EventStream:
                         event = event_from_obj(json.loads(line))
                     except (json.JSONDecodeError, RecursionError, EventError) as exc:
                         raise LogLineError(f"{path}:{lineno}: {exc}") from exc
+                    line = None
                 self._count += 1
-                yield event
+                yield event, line
+
+
+_first = operator.itemgetter(0)
 
 
 def read_archive(path) -> LogArchive:
     """The events of one log file as an archive; errors as :class:`EventStream`'s."""
     return archive_from_events(EventStream(path))
+
+
+class _CannotStream(Exception):
+    """A streamed merge gave up; its inputs are to be read in full instead."""
+
+
+# file descriptors kept free of a streamed merge's inputs
+_SPARE_FDS = 16
+_EARLIEST = (datetime.min.replace(tzinfo=timezone.utc), "")
+
+
+def _ordered_lines(stream: EventStream) -> Iterator[tuple[tuple[datetime, str], str]]:
+    """((time, source), line as :func:`event_to_line` writes it) for each
+    event of ``stream``; raises :class:`_CannotStream` at the first event
+    out of (time, source) order."""
+    last = _EARLIEST
+    for event, line in stream._pairs:
+        key = (event.time, event.source)
+        if key < last:
+            raise _CannotStream
+        last = key
+        yield key, line or event_to_line(event)
+
+
+def _merge_streamed(paths: Sequence, target) -> tuple[int, frozenset[str]] | None:
+    """Write the merge of the logs at ``paths`` to ``target`` as
+    :func:`merge_archives` and :func:`write_archive` would, holding one
+    pending event per input; returns the number of events and the accounts
+    covered.
+
+    For inputs that are each in (time, source) order, a stable k-way merge
+    gives the stable sort of their concatenation that :func:`merge_archives`
+    makes: ties go to the earlier input, then to file order.
+
+    Returns ``None``, leaving ``target`` as it was, when an input is not a
+    regular file (it could not be read again), when the inputs would use up
+    the open-file limit, when ``target`` is written in place, and on a read
+    or write error or an input out of order; reading every input in full
+    then gives the same output, or the same first error.
+    """
+    if getrlimit is not None:
+        soft, _ = getrlimit(RLIMIT_NOFILE)
+        if soft != RLIM_INFINITY and len(paths) > soft - _SPARE_FDS:
+            return None
+    covered: set[str] = set()
+    try:
+        if not all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
+            return None
+        streams = [EventStream(path) for path in paths]
+        with replacing(target) as (staged,):
+            if staged == Path(target):  # a link, device or FIFO is written in place
+                raise _CannotStream
+            with open(staged, "w", encoding="utf-8") as fh:
+                write, cover = fh.write, covered.add
+                for (_, source), line in heapq.merge(*map(_ordered_lines, streams), key=_first):
+                    write(line)
+                    cover(source)
+    except (_CannotStream, ValueError, OSError):  # EventError is a ValueError
+        return None
+    return sum(map(len, streams)), frozenset(covered)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .audit import (
     EventStream,
     LogLineError,
     QueryFilter,
+    _merge_streamed,
     archive_from_events,
     denied_access_summary,
     event_to_line,
@@ -140,6 +141,14 @@ def _read_requests(path: str) -> list[AccessRequest]:
     return requests
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """A missing directory for an output file is invalid input (exit 2),
+    refused before any log or request is read."""
+    for path in paths:
+        if path and not Path(path).resolve().parent.is_dir():
+            raise CliError(f"output directory does not exist: {Path(path).parent}")
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -183,10 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     if args.out and args.emit_log and Path(args.out).resolve() == Path(args.emit_log).resolve():
         raise CliError("--out and --emit-log name the same file")
     org = _load_org(args)
-    # a missing directory is invalid input (exit 2), refused before any work
-    for path in (args.out, args.emit_log):
-        if path and not Path(path).resolve().parent.is_dir():
-            raise CliError(f"output directory does not exist: {Path(path).parent}")
+    _check_out_dirs(args.out, args.emit_log)
     requests = _read_requests(args.requests)
     events = []
     decisions = simulate(org, requests, sink=events.append)
@@ -248,20 +254,17 @@ def cmd_analyze_generate(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_audit_merge(args: argparse.Namespace) -> tuple[int, str]:
-    archives = [read_archive(p) for p in args.logs]
-    merged = merge_archives(archives)
-    write_archive(merged, args.out)
+    _check_out_dirs(args.out)
+    merged = _merge_streamed(args.logs, args.out)
+    if merged is None:  # every input is read in full, in argument order
+        archive = merge_archives([read_archive(p) for p in args.logs])
+        write_archive(archive, args.out)
+        merged = len(archive), archive.accounts_covered
+    events, accounts = merged
     if args.fmt == "json":
-        summary = {
-            "events": len(merged),
-            "accounts_covered": sorted(merged.accounts_covered),
-            "out": args.out,
-        }
+        summary = {"events": events, "accounts_covered": sorted(accounts), "out": args.out}
         return EXIT_OK, _dumps(summary) + "\n"
-    return EXIT_OK, (
-        f"merged {len(merged)} events covering {len(merged.accounts_covered)} "
-        f"accounts into {args.out}\n"
-    )
+    return EXIT_OK, f"merged {events} events covering {len(accounts)} accounts into {args.out}\n"
 
 
 @contextlib.contextmanager

@@ -411,6 +411,45 @@ class TestCodec:
         path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
         assert stream_outcome(EventStream(path)) == stream_outcome(reference_stream(path))
 
+    @given(codec_events(), st.sampled_from([None, *LINE_MUTATIONS]))
+    def test_fast_path_lines_are_event_to_line(self, event, mutate):
+        """A merge writes each line the fast path takes as it was read, so
+        such a line must be exactly what event_to_line writes."""
+        line = event_to_line(event) if mutate is None else mutate(event_to_line(event))
+        fast = audit._canonical_event(line)
+        if fast is not None:
+            assert line == event_to_line(fast)
+            assert fast == event_from_obj(json.loads(line))
+
+    # writes files, so a busy machine can stretch an example past the deadline
+    @settings(deadline=None)
+    @given(st.lists(codec_events(), min_size=1, max_size=4), st.data())
+    def test_del_and_empty_source_lines_take_the_json_decoder(self, tmp_path_factory,
+                                                              events, data):
+        lines = [event_to_line(event) for event in events]
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] = data.draw(st.sampled_from([
+            _inserting("user", "\x7f"), _inserting("resource", "\x7f"), _with_fields(source=""),
+        ]))(lines[at])
+        if data.draw(st.booleans()):  # and possibly a fault that ends the read
+            lines[at] = data.draw(st.sampled_from([
+                _with_fields(kind="Logout"), _with_fields(verdict="Maybe"), _with_fields(user=5),
+                _with_fields(time="2024-02-30T00:00:00Z"), _with_fields(extra="x"),
+            ]))(lines[at])
+        if "\x7f" in lines[at] or '"source":""' in lines[at]:
+            assert audit._canonical_event(lines[at]) is None
+        path = tmp_path_factory.mktemp("reencoded") / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert stream_outcome(EventStream(path)) == stream_outcome(reference_stream(path))
+        try:
+            pairs = list(EventStream(path)._pairs)
+        except LogLineError:
+            return
+        for line, (event, raw) in zip(lines, pairs):
+            assert raw == (line if audit._canonical_event(line) else None)
+            assert raw is None or raw == event_to_line(event)
+        assert pairs[at][1] is None
+
     def test_canonical_lines_skip_the_json_decoder(self, tmp_path, monkeypatch):
         archive = random_archive(random.Random(19), 30)
         path = tmp_path / "log.jsonl"

@@ -4,11 +4,19 @@ import contextlib
 import io
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iamsim import (
@@ -588,6 +596,16 @@ class TestAudit:
             assert err.count("\n") == 1
         assert not merged.exists()
 
+    def test_merge_into_a_missing_directory_exits_two_first(self, run, tmp_path):
+        a, _, _ = self._logs(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        out_path = tmp_path / "nodir" / "x.jsonl"
+        code, out, err = run("audit", "merge", str(a), str(bad), "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"output directory does not exist: {out_path.parent}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, run, sharing_scenario_path, tmp_path):
@@ -755,3 +773,252 @@ def test_unordered_log_reads_like_the_sorted_archive(events):
                 got = _cli(["--format", fmt, "audit", command, str(unordered), *flags])
                 expected = _cli(["--format", fmt, "audit", command, str(archive), *flags])
                 assert got == expected and got[0] == 0, (fmt, command, flags)
+
+
+@contextlib.contextmanager
+def _in_dir(path):
+    home = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(home)
+
+
+def _listing(directory) -> dict:
+    """Every entry of ``directory``: a link's target, or a file's bytes."""
+    return {p.name: f"-> {os.readlink(p)}" if p.is_symlink() else p.read_bytes()
+            for p in Path(directory).iterdir()}
+
+
+def _full_merge(argv):
+    """``_cli(argv)`` with every input of a merge read in full: the
+    reference that a streamed merge must match."""
+    with mock.patch.object(cli, "_merge_streamed", lambda logs, out: None):
+        return _cli(argv)
+
+
+# each rewrites one line a merge reads
+_MERGE_LINE_VARIANTS = [lambda line: line] * 20 + [
+    lambda line: json.dumps(json.loads(line)) + "\n",  # spaced, so re-encoded
+    lambda line: line.replace('"user":"', '"user":"\x7f', 1),  # DEL, written as \u007f
+    lambda line: line[:line.rindex('"source":')] + '"source":""}\n',  # filled in
+    lambda line: "{broken\n",
+]
+
+
+@st.composite
+def _merge_runs(draw):
+    """The logs of a directory ({name: text}) and the argv of one merge there."""
+    files = {}
+    for k in range(draw(st.integers(1, 3))):
+        events = draw(st.lists(_stream_events(), max_size=6))
+        if draw(st.integers(0, 4)):  # mostly in order, as per-account logs are
+            events.sort(key=lambda e: (e.time, e.source))
+        files[f"log{k}.jsonl"] = "".join(
+            draw(st.sampled_from(_MERGE_LINE_VARIANTS))(event_to_line(e)) for e in events)
+    logs = draw(st.lists(st.sampled_from(sorted(files)), min_size=1, max_size=4))
+    if not draw(st.integers(0, 5)):
+        logs.insert(draw(st.integers(0, len(logs))), "missing.jsonl")
+    # a new target, an earlier archive, a link to a log, a missing directory, a log
+    out = draw(st.sampled_from(["archive.jsonl"] * 4 + ["old.jsonl", "link.jsonl",
+                                                         "nodir/x.jsonl", *files]))
+    argv = ["--format", draw(st.sampled_from(["json", "text"])), "audit", "merge", *logs,
+            "--out", out]
+    return files, argv
+
+
+def _login_line(second: int, source: str) -> str:
+    return event_to_line(AuditEvent(time=utc(2024, 1, 1, 0, 0, second), kind=EventKind.LOGIN,
+                                    user="ana", account=source, verdict=Verdict.ALLOW))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_merge_runs())
+# a tie on time goes to the lesser source, and a tie on both to the earlier input
+@example(({"log0.jsonl": _login_line(1, "222222222222") + _login_line(2, "111111111111"),
+           "log1.jsonl": _login_line(1, "111111111111") + _login_line(2, "111111111111")},
+          ["--format", "json", "audit", "merge", "log0.jsonl", "log1.jsonl", "--out", "x"]))
+def test_streamed_merge_matches_the_full_merge(case):
+    files, argv = case
+    outcomes = []
+    for merge in (_cli, _full_merge):
+        with tempfile.TemporaryDirectory() as tmp, _in_dir(tmp):
+            for name, text in files.items():
+                Path(name).write_text(text, encoding="utf-8")
+            Path("old.jsonl").write_text("earlier archive\n", encoding="utf-8")
+            Path("link.jsonl").symlink_to("log0.jsonl")
+            outcomes.append((merge(argv), _listing(tmp)))
+    assert outcomes[0] == outcomes[1]
+
+
+def _feed(fifo, data: bytes) -> threading.Thread:
+    """Write ``data`` to ``fifo`` once a reader opens it."""
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Interrupt the block with TimeoutError after ``seconds``, so that a
+    second open of a FIFO whose writer has gone fails instead of hanging."""
+    def interrupt(signum, frame):
+        raise TimeoutError("blocked on a FIFO")
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_merge_reads_an_unordered_fifo_input_once(tmp_path):
+    events = [AuditEvent(time=utc(2024, 1, 1, 0, 0, s), kind=EventKind.LOGIN, user="ana",
+                         account=account, verdict=Verdict.ALLOW)
+              for s, account in ((3, "111111111111"), (1, "222222222222"), (2, "111111111111"))]
+    unordered = "".join(map(event_to_line, events)).encode()
+    outcomes = []
+    for merge in (_cli, _full_merge):
+        directory = tmp_path / merge.__name__
+        directory.mkdir()
+        with _in_dir(directory):
+            Path("log.jsonl").write_text(event_to_line(events[0]), encoding="utf-8")
+            os.mkfifo("pipe.jsonl")
+            writer = _feed("pipe.jsonl", unordered)
+            with _alarm(10):
+                outcome = merge(["--format", "json", "audit", "merge", "log.jsonl",
+                                 "pipe.jsonl", "--out", "archive.jsonl"])
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            outcomes.append((outcome, Path("archive.jsonl").read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert json.loads(outcomes[0][0][1])["events"] == 4
+
+
+# runs the CLI with every decoded and every encoded line slowed down, so that
+# the test can kill it while it writes
+_SLOW_CLI = """
+import sys, time
+from iamsim import audit, cli
+
+def slowly(f):
+    def slow(*args):
+        time.sleep(0.0005)
+        return f(*args)
+    return slow
+
+audit._canonical_event = slowly(audit._canonical_event)
+audit.event_to_line = slowly(audit.event_to_line)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _child(code: str, argv, cwd) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.Popen([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _write_logs(directory, n_logs: int, n_events: int) -> list[str]:
+    names = []
+    for k in range(n_logs):
+        account = f"{k + 1:012d}"
+        names.append(f"{account}.jsonl")
+        Path(directory, names[-1]).write_text("".join(
+            event_to_line(AuditEvent(time=utc(2024, 1, 1) + timedelta(seconds=3 * i + k),
+                                     kind=EventKind.LOGIN, user=f"user-{i % 7}",
+                                     account=account, verdict=Verdict.ALLOW))
+            for i in range(n_events)), encoding="utf-8")
+    return names
+
+
+class TestKilledWriters:
+    """A writer killed mid-write leaves each target as it was (or complete
+    and new), and nothing beside it but its ``.<name>.<hex>.tmp`` files."""
+
+    def _kill_while_staging(self, tmp_path, argv, inputs, targets, growing, size):
+        work, reference = tmp_path / "work", tmp_path / "reference"
+        for directory in (work, reference):
+            directory.mkdir()
+            for name, data in inputs.items():
+                (directory / name).write_bytes(data)
+        with _in_dir(reference):
+            assert _cli(argv)[0] == 0
+        complete = {name: (reference / name).read_bytes() for name in targets}
+        child = _child(_SLOW_CLI, argv, work)
+        try:
+            deadline = time.monotonic() + 60
+            while not any(p.stat().st_size >= size for p in work.glob(f".{growing}.*.tmp")):
+                assert child.poll() is None, child.stderr.read()
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+        finally:
+            child.kill()
+            child.communicate()
+        left = _listing(work)
+        for name in targets:
+            assert left.pop(name) in (inputs[name], complete[name])
+        for name in inputs.keys() - set(targets):
+            assert left.pop(name) == inputs[name]
+        assert left and all(re.fullmatch(r"\.(%s)\.[0-9a-f]{8}\.tmp" % "|".join(
+            map(re.escape, targets)), name) for name in left)
+
+    # killed once the staged archive has its first block, and once it is well along
+    @pytest.mark.parametrize("size", [1, 100_000])
+    def test_merge(self, tmp_path, size):
+        names = _write_logs(tmp_path, 3, 1000)
+        inputs = {name: (tmp_path / name).read_bytes() for name in names}
+        inputs["archive.jsonl"] = b"earlier archive\n"
+        self._kill_while_staging(tmp_path, ["audit", "merge", *names, "--out", "archive.jsonl"],
+                                 inputs, ["archive.jsonl"], "archive.jsonl", size)
+
+    @pytest.mark.parametrize("size", [1, 100_000])
+    def test_simulate_out_and_emit_log(self, tmp_path, sharing_scenario_path, size):
+        request = {"user": "user-1", "account": "111111111111",
+                   "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s"}
+        inputs = {
+            "scenario.json": sharing_scenario_path.read_bytes(),
+            "requests.jsonl": (json.dumps(request) + "\n").encode() * 3000,
+            "decisions.jsonl": b"earlier decisions\n",
+            "log.jsonl": b"earlier log\n",
+        }
+        argv = ["--scenario", "scenario.json", "simulate", "requests.jsonl",
+                "--out", "decisions.jsonl", "--emit-log", "log.jsonl"]
+        self._kill_while_staging(tmp_path, argv, inputs, ["decisions.jsonl", "log.jsonl"],
+                                 "log.jsonl", size)
+
+
+# lowers the soft open-file limit to 40, holds some descriptors open, then
+# runs the CLI
+_FEW_FILES_CLI = """
+import os, resource, sys
+from iamsim import cli
+
+held = int(sys.argv[1])
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (min(40, hard), hard))
+fds = [os.open(os.devnull, os.O_RDONLY) for _ in range(held)]
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+# 64 logs are more than the limit allows at once; 20 logs fit, unless 25
+# descriptors are already taken and the merge runs out of them midway
+@pytest.mark.parametrize("n_logs, held", [(64, 0), (20, 0), (20, 25)])
+def test_merge_under_a_low_open_file_limit(tmp_path, n_logs, held):
+    names = _write_logs(tmp_path, n_logs, 3)
+    argv = ["--format", "json", "audit", "merge", *names, "--out", "archive.jsonl"]
+    with _in_dir(tmp_path):
+        expected = _full_merge(argv)
+        Path("archive.jsonl").rename("expected.jsonl")
+    child = _child(_FEW_FILES_CLI, [str(held), *argv], tmp_path)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out.decode(), err.decode()) == expected and expected[0] == 0
+    assert (tmp_path / "archive.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
