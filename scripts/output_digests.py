@@ -8,11 +8,12 @@ command: the workload, the command, and the sha256 of its exit code, stdout
 and stderr, followed by the content of any file the command writes. The
 audit commands also read one per-account log re-encoded with spaces after
 ``:`` and ``,``, so the digests cover both ways a log line is read. Two more
-merges cover the ways a merge reads its inputs: one of a shuffled
-per-account log, which is read in full and sorted, and one of a log with
-DEL characters and empty sources, whose lines are written re-encoded. Two
-checkouts produce the same output exactly when a ``diff`` of their runs is
-empty:
+logs cover the ways a merge reads its inputs and a query writes its hits: a
+shuffled per-account log, which a merge reads in full and sorts, and a log
+with DEL characters and empty sources, whose lines are written re-encoded.
+Each is merged, and read by every query of the manifest and by
+``denied-summary``, in both formats. Two checkouts produce the same output
+exactly when a ``diff`` of their runs is empty:
 
     python scripts/output_digests.py --src /path/to/a/src > a.txt
     python scripts/output_digests.py --src /path/to/b/src > b.txt
@@ -109,6 +110,16 @@ def reencode(log: str, out: str) -> None:
             dst.write(line)
 
 
+def audit_reads(manifest: dict, log: str):
+    """Yield (label, argv, written files) for every query of the manifest and
+    ``denied-summary`` over ``log``, in both formats."""
+    for fmt in FORMATS:
+        for query in manifest["queries"]:
+            yield None, ["--format", fmt, "audit", "query", log, *query["argv"]], ()
+        yield None, ["--format", fmt, "audit", "denied-summary", log,
+                     "--bucket", manifest["denied_bucket"]], ()
+
+
 def commands(manifest: dict):
     """Yield (label, argv, written files) in run order; later commands read
     the log and the archive that earlier ones write."""
@@ -141,11 +152,7 @@ def commands(manifest: dict):
         yield (f"--format {fmt} audit merge logs/*.jsonl --out archive.jsonl",
                ["--format", fmt, "audit", "merge", *manifest["log_files"],
                 "--out", "archive.jsonl"], ("archive.jsonl",))
-    for fmt in FORMATS:
-        for query in manifest["queries"]:
-            yield None, ["--format", fmt, "audit", "query", "archive.jsonl", *query["argv"]], ()
-        yield None, ["--format", fmt, "audit", "denied-summary", "archive.jsonl",
-                     "--bucket", manifest["denied_bucket"]], ()
+    yield from audit_reads(manifest, "archive.jsonl")
     # the same events in another JSON layout, which readers decode in full
     redump(manifest["log_files"][0], "spaced.jsonl")
     for fmt in FORMATS:
@@ -159,6 +166,7 @@ def commands(manifest: dict):
         for fmt in FORMATS:
             yield None, ["--format", fmt, "audit", "merge", *rest, log, *rest[:1],
                          "--out", f"{log}-archive.jsonl"], (f"{log}-archive.jsonl",)
+        yield from audit_reads(manifest, log)
 
 
 def main() -> int:

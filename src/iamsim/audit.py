@@ -18,7 +18,7 @@ offsets, fractions and other digit scripts are rejected, never coerced.
 replacing a regular target file atomically (see :mod:`iamsim.atomic`).
 ``audit merge`` streams too: :func:`_merge_streamed` merges one stream per
 input with ``heapq.merge`` into the staged archive, holding one pending
-event per input, and leaves the inputs to :func:`read_archive`,
+row per input, and leaves the inputs to :func:`read_archive`,
 :func:`merge_archives` and :func:`write_archive` whenever it cannot give
 their result in one pass.
 
@@ -26,10 +26,15 @@ A line in the exact form :func:`event_to_line` writes, every value printable
 ASCII with no quote, backslash or DEL and so free of escapes, and a source
 that is not empty, is read by one regex match and the same checks
 :func:`event_from_obj` makes; such a line is exactly :func:`event_to_line` of
-its event, so a merge writes it as it was read. Every other line, and any
-such line that fails a check, is decoded by ``json.loads`` and checked by
-:func:`event_from_obj`, so every error message is the JSON decoder's or
-:func:`event_from_obj`'s.
+its event. Every other line, and any such line that fails a check, is decoded
+by ``json.loads`` and checked as :func:`event_from_obj` checks it, so every
+error message is the JSON decoder's or :func:`event_from_obj`'s.
+
+Each line read becomes a checked row: the event's fields, named as its
+attributes, and the line as read when the regex took it. :class:`EventStream`
+builds an event of each row; ``audit query``, ``audit denied-summary`` and a
+streamed merge work on the rows, build no event, and write a kept line that
+the regex took as it was read.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from enum import Enum
 from itertools import pairwise
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 try:
     from resource import RLIM_INFINITY, RLIMIT_NOFILE, getrlimit
@@ -191,7 +196,8 @@ _VERDICT_JSON = {v: _json_str(v.value) for v in Verdict}
 
 def event_to_line(event: AuditEvent) -> str:
     """One JSON Lines record, byte-identical to
-    ``json.dumps(event_to_obj(event), separators=(",", ":")) + "\\n"``."""
+    ``json.dumps(event_to_obj(event), separators=(",", ":")) + "\\n"``;
+    ``event`` may also be a checked row."""
     return (
         f'{{"time":"{format_timestamp(event.time)}","kind":{_KIND_JSON[event.kind]}'
         f',"user":{_json_str(event.user)},"account":{_json_str(event.account)}'
@@ -200,12 +206,34 @@ def event_to_line(event: AuditEvent) -> str:
     )
 
 
+class _Row(NamedTuple):
+    """The checked fields of one log line, named as :class:`AuditEvent`'s,
+    and the line as read when it is exactly :func:`event_to_line` of them,
+    else ``None``."""
+
+    time: datetime
+    kind: EventKind
+    user: str
+    account: str
+    verdict: Verdict
+    action: str
+    resource: str
+    source: str
+    line: str | None
+
+
+_new_row = tuple.__new__
 _new_object = object.__new__
 _set_field = object.__setattr__
 
 
 def event_from_obj(obj: object) -> AuditEvent:
     """The event a decoded log line describes; every field is checked once."""
+    return _row_event(_row_from_obj(obj))
+
+
+def _row_from_obj(obj: object) -> _Row:
+    """The checked row of a decoded log line, with no line as read."""
     if not isinstance(obj, dict):
         raise EventError("event must be a JSON object")
     if obj.keys() != _EVENT_KEYS:
@@ -227,13 +255,15 @@ def event_from_obj(obj: object) -> AuditEvent:
     when = parse_timestamp(time)
     user, account, action, resource = obj["user"], obj["account"], obj["action"], obj["resource"]
     source = _checked_source(event_kind, user, account, action, resource, obj["source"])
-    return _checked_event(when, event_kind, user, account, event_verdict, action, resource, source)
+    return _new_row(_Row, (when, event_kind, user, account, event_verdict, action, resource,
+                           source, None))
 
 
-def _checked_event(time, kind, user, account, verdict, action, resource, source) -> AuditEvent:
-    """An event of fields that are already checked, built without __init__.
-    The fields are set in declaration order, as __init__ sets them, so that
-    all events keep sharing their class's attribute key table."""
+def _row_event(row: _Row) -> AuditEvent:
+    """The event of a checked row, built without __init__. The fields are set
+    in declaration order, as __init__ sets them, so that all events keep
+    sharing their class's attribute key table."""
+    time, kind, user, account, verdict, action, resource, source, _ = row
     event = _new_object(AuditEvent)
     _set_field(event, "time", time)
     _set_field(event, "kind", kind)
@@ -246,7 +276,7 @@ def _checked_event(time, kind, user, account, verdict, action, resource, source)
     return event
 
 
-# (time, source) of an event
+# (time, source) of an event or a checked row
 _order_key = operator.attrgetter("time", "source")
 
 
@@ -310,10 +340,10 @@ _LINE = re.compile(
 )
 
 
-def _canonical_event(line: str) -> AuditEvent | None:
-    """The event of a line that matches ``_LINE``, checked as
-    :func:`event_from_obj` checks it; ``None`` for any other line and for any
-    line that fails a check."""
+def _canonical_row(line: str) -> _Row | None:
+    """The row of a line that matches ``_LINE``, checked as
+    :func:`event_from_obj` checks it, with the line as read; ``None`` for any
+    other line and for any line that fails a check."""
     m = _LINE.fullmatch(line)
     if m is None:
         return None
@@ -327,8 +357,8 @@ def _canonical_event(line: str) -> AuditEvent | None:
         source = _kind_rules(event_kind, user, account, action, resource, source)
     except ValueError:  # EventError included
         return None
-    return _checked_event(when, event_kind, user, account, event_verdict, action, resource,
-                          source)
+    return _new_row(_Row, (when, event_kind, user, account, event_verdict, action, resource,
+                           source, line))
 
 
 class EventStream:
@@ -345,42 +375,47 @@ class EventStream:
     def __init__(self, path) -> None:
         self.path = path
         self._count = 0
-        self._pairs = self._decode()
+        self._rows = self._decode()
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return map(_first, self._pairs)
+        return map(_row_event, self._rows)
 
     def __len__(self) -> int:
         return self._count
 
-    def _decode(self) -> Iterator[tuple[AuditEvent, str | None]]:
-        """(event, line) for each event: the line as read when the fast path
-        took it, and so exactly ``event_to_line(event)``, else ``None``."""
+    def _decode(self) -> Iterator[_Row]:
+        """The checked row of each event line."""
         path = self.path
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                event = _canonical_event(line)
-                if event is None:  # any other line is decoded and checked in full
+                row = _canonical_row(line)
+                if row is None:  # any other line is decoded and checked in full
                     if line.isspace():
                         continue
                     problem = utf8_problem(line, path, lineno)
                     if problem:
                         raise LogLineError(problem)
                     try:
-                        event = event_from_obj(json.loads(line))
+                        row = _row_from_obj(json.loads(line))
                     except (json.JSONDecodeError, RecursionError, EventError) as exc:
                         raise LogLineError(f"{path}:{lineno}: {exc}") from exc
-                    line = None
                 self._count += 1
-                yield event, line
+                yield row
 
 
-_first = operator.itemgetter(0)
+class _RowStream(EventStream):
+    """An :class:`EventStream` that yields its checked rows and builds no event."""
+
+    def __iter__(self) -> Iterator[_Row]:
+        return self._rows
 
 
 def read_archive(path) -> LogArchive:
     """The events of one log file as an archive; errors as :class:`EventStream`'s."""
     return archive_from_events(EventStream(path))
+
+
+_first = operator.itemgetter(0)
 
 
 class _CannotStream(Exception):
@@ -392,23 +427,23 @@ _SPARE_FDS = 16
 _EARLIEST = (datetime.min.replace(tzinfo=timezone.utc), "")
 
 
-def _ordered_lines(stream: EventStream) -> Iterator[tuple[tuple[datetime, str], str]]:
+def _ordered_lines(stream: _RowStream) -> Iterator[tuple[tuple[datetime, str], str]]:
     """((time, source), line as :func:`event_to_line` writes it) for each
-    event of ``stream``; raises :class:`_CannotStream` at the first event
-    out of (time, source) order."""
+    row of ``stream``; raises :class:`_CannotStream` at the first row out of
+    (time, source) order."""
     last = _EARLIEST
-    for event, line in stream._pairs:
-        key = (event.time, event.source)
+    for row in stream:
+        key = _order_key(row)
         if key < last:
             raise _CannotStream
         last = key
-        yield key, line or event_to_line(event)
+        yield key, row.line or event_to_line(row)
 
 
 def _merge_streamed(paths: Sequence, target) -> tuple[int, frozenset[str]] | None:
     """Write the merge of the logs at ``paths`` to ``target`` as
     :func:`merge_archives` and :func:`write_archive` would, holding one
-    pending event per input; returns the number of events and the accounts
+    pending row per input; returns the number of events and the accounts
     covered.
 
     For inputs that are each in (time, source) order, a stable k-way merge
@@ -429,7 +464,7 @@ def _merge_streamed(paths: Sequence, target) -> tuple[int, frozenset[str]] | Non
     try:
         if not all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
             return None
-        streams = [EventStream(path) for path in paths]
+        streams = [_RowStream(path) for path in paths]
         with replacing(target) as (staged,):
             if staged == Path(target):  # a link, device or FIFO is written in place
                 raise _CannotStream
@@ -476,7 +511,7 @@ class QueryFilter:
 
 def query(events: Iterable[AuditEvent], flt: QueryFilter) -> list[AuditEvent]:
     """Events satisfying every present filter field, in (time, source) order;
-    events that tie keep their input order."""
+    events that tie keep their input order. Checked rows filter as events do."""
     out = []
     # the actions of a log repeat, so the pattern is matched once per distinct action
     action_hits: dict[str, bool] = {}

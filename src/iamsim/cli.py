@@ -25,10 +25,10 @@ from pathlib import Path
 from .audit import (
     EventError,
     EventKind,
-    EventStream,
     LogLineError,
     QueryFilter,
     _merge_streamed,
+    _RowStream,
     archive_from_events,
     denied_access_summary,
     event_to_line,
@@ -268,19 +268,21 @@ def cmd_audit_merge(args: argparse.Namespace) -> tuple[int, str]:
 
 
 @contextlib.contextmanager
-def _log_errors_first(events: EventStream):
-    """Report a flag error raised in the block only once ``events`` is read
-    to its end, so that a bad log line or a missing log is reported first."""
+def _log_errors_first(rows: _RowStream):
+    """Report a flag error raised in the block only once ``rows`` is read to
+    its end, so that a bad log line or a missing log is reported first."""
     try:
         yield
     except (CliError, EventError):
-        for _ in events:
+        for _ in rows:
             pass
         raise
 
 
 def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
-    stream = EventStream(args.log)
+    # the filter runs on checked rows: no event is built, and a hit read in
+    # iamsim's own form is written as it was read
+    stream = _RowStream(args.log)
     with _log_errors_first(stream):
         flt = QueryFilter(
             user=args.user,
@@ -291,20 +293,20 @@ def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
             since=parse_timestamp(args.since) if args.since else None,
             until=parse_timestamp(args.until) if args.until else None,
         )
-    events = query(stream, flt)
+    hits = query(stream, flt)
     if args.fmt == "json":
-        return EXIT_OK, "".join(map(event_to_line, events))
+        return EXIT_OK, "".join([e.line or event_to_line(e) for e in hits])
     lines = [
         f"{format_timestamp(e.time)} {e.kind.value} user={e.user} account={e.account} "
         f"action={e.action or '-'} resource={e.resource or '-'} "
         f"verdict={e.verdict.value} source={e.source}"
-        for e in events
+        for e in hits
     ]
     return EXIT_OK, "".join(line + "\n" for line in lines)
 
 
 def cmd_audit_denied(args: argparse.Namespace) -> tuple[int, str]:
-    stream = EventStream(args.log)
+    stream = _RowStream(args.log)
     try:
         with _log_errors_first(stream):
             cells = denied_access_summary(stream, _parse_bucket(args.bucket))

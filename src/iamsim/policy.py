@@ -112,8 +112,14 @@ def check_operation_pattern(op: str) -> None:
     if op == "*":
         return
     body = op[:-1] if op.endswith("*") else op
-    if not _OPERATION_RE.fullmatch(body):
-        raise PolicyParseError(f"invalid operation pattern {op!r}: one trailing '*' at most")
+    if _OPERATION_RE.fullmatch(body):
+        return
+    if "*" in body:
+        fault = "one trailing '*' at most"
+    else:
+        fault = next((f"{c!r} is not an ASCII letter or digit" for c in body
+                      if not _OPERATION_RE.fullmatch(c)), "the operation is empty")
+    raise PolicyParseError(f"invalid operation pattern {op!r}: {fault}")
 
 
 @dataclass(frozen=True)

@@ -416,10 +416,10 @@ class TestCodec:
         """A merge writes each line the fast path takes as it was read, so
         such a line must be exactly what event_to_line writes."""
         line = event_to_line(event) if mutate is None else mutate(event_to_line(event))
-        fast = audit._canonical_event(line)
+        fast = audit._canonical_row(line)
         if fast is not None:
-            assert line == event_to_line(fast)
-            assert fast == event_from_obj(json.loads(line))
+            assert fast.line == line == event_to_line(fast)
+            assert audit._row_event(fast) == event_from_obj(json.loads(line))
 
     # writes files, so a busy machine can stretch an example past the deadline
     @settings(deadline=None)
@@ -437,18 +437,18 @@ class TestCodec:
                 _with_fields(time="2024-02-30T00:00:00Z"), _with_fields(extra="x"),
             ]))(lines[at])
         if "\x7f" in lines[at] or '"source":""' in lines[at]:
-            assert audit._canonical_event(lines[at]) is None
+            assert audit._canonical_row(lines[at]) is None
         path = tmp_path_factory.mktemp("reencoded") / "log.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
         assert stream_outcome(EventStream(path)) == stream_outcome(reference_stream(path))
         try:
-            pairs = list(EventStream(path)._pairs)
+            rows = list(audit._RowStream(path))
         except LogLineError:
             return
-        for line, (event, raw) in zip(lines, pairs):
-            assert raw == (line if audit._canonical_event(line) else None)
-            assert raw is None or raw == event_to_line(event)
-        assert pairs[at][1] is None
+        for line, row in zip(lines, rows):
+            assert row.line == (line if audit._canonical_row(line) else None)
+            assert row.line is None or row.line == event_to_line(row)
+        assert rows[at].line is None
 
     def test_canonical_lines_skip_the_json_decoder(self, tmp_path, monkeypatch):
         archive = random_archive(random.Random(19), 30)
@@ -456,9 +456,9 @@ class TestCodec:
         write_archive(archive, path)
 
         def unused(obj):
-            raise AssertionError("a canonical line reached event_from_obj")
+            raise AssertionError("a canonical line reached the JSON decoder's checks")
 
-        monkeypatch.setattr(audit, "event_from_obj", unused)
+        monkeypatch.setattr(audit, "_row_from_obj", unused)
         events = tuple(EventStream(path))
         assert events == archive.events
         assert [repr(e) for e in events] == [repr(e) for e in archive.events]

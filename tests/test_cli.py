@@ -30,8 +30,12 @@ from iamsim import (
     write_archive,
 )
 from iamsim import cli
-from iamsim.audit import event_to_line
+from iamsim.audit import (
+    QueryFilter, denied_access_summary, event_from_obj, event_to_line, event_to_obj,
+    format_timestamp, parse_timestamp, query,
+)
 from iamsim.cli import main
+from iamsim.textin import open_text
 
 from conftest import utc
 
@@ -729,6 +733,18 @@ class TestAuditErrorOrder:
                        "would start before year 1\n")
 
 
+@pytest.mark.parametrize("pattern, fault", [
+    ("*:", "invalid operation pattern '': the operation is empty"),
+    ("s3:Get?bject", "invalid operation pattern 'Get?bject': '?' is not an ASCII letter or digit"),
+    ("s3:G*t", "invalid operation pattern 'G*t': one trailing '*' at most"),
+])
+def test_bad_action_pattern_names_its_fault(run, tmp_path, pattern, fault):
+    log = tmp_path / "log.jsonl"
+    log.write_text(_event_line("2024-01-01T00:00:00Z"), encoding="utf-8")
+    code, out, err = run("audit", "query", str(log), "--action", pattern)
+    assert (code, out, err) == (2, "", f"bad action pattern {pattern!r}: {fault}\n")
+
+
 _QUERY_FLAGS = [
     [], ["--verdict", "Deny"], ["--user", "bo"], ["--kind", "Login"], ["--action", "*:Get*"],
     ["--since", "2024-01-01T00:00:01Z", "--until", "2024-01-01T00:00:02Z"],
@@ -773,6 +789,131 @@ def test_unordered_log_reads_like_the_sorted_archive(events):
                 got = _cli(["--format", fmt, "audit", command, str(unordered), *flags])
                 expected = _cli(["--format", fmt, "audit", command, str(archive), *flags])
                 assert got == expected and got[0] == 0, (fmt, command, flags)
+
+
+# each writes one event as a log line: its own form (read by the regex, and
+# listed twice so that most lines take it), json.dumps's spacing, a raw DEL in the user name, an emptied source, a
+# non-ASCII user name kept raw, and a CRLF line ending
+_LINE_FORMS = [
+    event_to_line,
+    event_to_line,
+    lambda e: json.dumps(event_to_obj(e)) + "\n",
+    lambda e: json.dumps({**event_to_obj(e), "user": e.user + "\x7f"},
+                         separators=(",", ":"), ensure_ascii=False) + "\n",
+    lambda e: json.dumps({**event_to_obj(e), "source": ""}, separators=(",", ":")) + "\n",
+    lambda e: json.dumps({**event_to_obj(e), "user": "jos\u00e9"}, separators=(",", ":"),
+                         ensure_ascii=False) + "\n",
+    lambda e: event_to_line(e)[:-1] + "\r\n",
+]
+
+# lines that end a read: not JSON, unknown fields, a bad kind, a non-string
+# field, and a line in iamsim's own form with an impossible date
+_BAD_LINES = [
+    lambda e: "{broken\n",
+    lambda e: '{"nope": true}\n',
+    lambda e: json.dumps({**event_to_obj(e), "kind": "Logout"}) + "\n",
+    lambda e: json.dumps({**event_to_obj(e), "user": 5}) + "\n",
+    lambda e: event_to_line(e).replace('"time":"2024-01-01', '"time":"2024-02-30', 1),
+]
+
+
+@st.composite
+def _mixed_logs(draw):
+    """The text of a log whose lines take every form a reader meets."""
+    events = draw(st.lists(_stream_events(), max_size=10))
+    lines = [draw(st.sampled_from(_LINE_FORMS))(e) for e in events]
+    lines += ["\n", "  \n", "\r\n"][:draw(st.integers(0, 3))]
+    lines = draw(st.permutations(lines))
+    if events and draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from(_BAD_LINES))(events[0])
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "".join(lines)
+    if text.endswith("\n") and draw(st.booleans()):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]  # no final newline
+    return text
+
+
+@st.composite
+def _audit_commands(draw):
+    """The flags of one ``audit query`` or ``audit denied-summary``, with
+    possibly one bad --since or --bucket."""
+    if draw(st.booleans()):
+        return ["denied-summary", "--bucket", draw(st.sampled_from(["1s", "2s", "1h", "1w"]))]
+    flags = ["query"]
+    for flag, values in [
+        ("--user", ["ana", "bo", "bo\x7f", "jos\u00e9"]),
+        ("--account", ["111111111111", "222222222222"]),
+        ("--action", ["*:Get*", "s3:*", "s3:DeleteObject", "*:*"]),
+        ("--kind", [k.value for k in EventKind]),
+        ("--verdict", [v.value for v in Verdict]),
+        ("--since", ["2024-01-01T00:00:01Z", "2024-01-01T00:00:02Z", "yesterday"]),
+        ("--until", ["2024-01-01T00:00:01Z", "2024-01-01T00:00:03Z"]),
+    ]:
+        if draw(st.booleans()):
+            flags += [flag, draw(st.sampled_from(values))]
+    return flags
+
+
+def _reference_audit(log: Path, fmt: str, command: str, *flags: str):
+    """What ``audit query`` or ``audit denied-summary`` must print: each line
+    decoded by ``event_from_obj(json.loads(line))``, then the library's
+    query or summary, each hit written by ``event_to_line``."""
+    events = []
+    with open_text(log) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                events.append(event_from_obj(json.loads(line)))
+            except ValueError as exc:  # JSONDecodeError and EventError
+                return 2, "", f"{log}:{lineno}: {exc}\n"
+    opts = dict(zip(flags[::2], flags[1::2]))
+    if command == "denied-summary":
+        try:
+            bucket = cli._parse_bucket(opts["--bucket"])
+        except cli.CliError as exc:
+            return 2, "", f"{exc}\n"
+        cells = denied_access_summary(events, bucket)
+        if fmt == "json":
+            return 0, json.dumps([
+                {"bucket_start": format_timestamp(c.bucket_start), "user": c.user,
+                 "account": c.account, "count": c.count} for c in cells
+            ], separators=(",", ":")) + "\n", ""
+        return 0, "".join(
+            f"{format_timestamp(c.bucket_start)} user={c.user} account={c.account} "
+            f"denies={c.count}\n" for c in cells) or "no denied requests\n", ""
+    try:
+        flt = QueryFilter(
+            user=opts.get("--user"), account=opts.get("--account"),
+            action_pattern=opts.get("--action"),
+            kind=EventKind(opts["--kind"]) if "--kind" in opts else None,
+            verdict=Verdict(opts["--verdict"]) if "--verdict" in opts else None,
+            since=parse_timestamp(opts["--since"]) if "--since" in opts else None,
+            until=parse_timestamp(opts["--until"]) if "--until" in opts else None,
+        )
+    except ValueError as exc:
+        return 2, "", f"{exc}\n"
+    hits = query(events, flt)
+    if fmt == "json":
+        return 0, "".join(map(event_to_line, hits)), ""
+    return 0, "".join(
+        f"{format_timestamp(e.time)} {e.kind.value} user={e.user} account={e.account} "
+        f"action={e.action or '-'} resource={e.resource or '-'} "
+        f"verdict={e.verdict.value} source={e.source}\n" for e in hits), ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_logs(), _audit_commands())
+def test_audit_reads_match_the_json_decoder(text, command):
+    """``audit query`` and ``denied-summary`` print what decoding every line
+    with ``json.loads`` and building every event would print, whatever the
+    form of each line, and report a bad line before a bad flag."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        log.write_bytes(text.encode("utf-8"))
+        for fmt in ("json", "text"):
+            got = _cli(["--format", fmt, "audit", *command[:1], str(log), *command[1:]])
+            assert got == _reference_audit(log, fmt, *command), (fmt, command)
 
 
 @contextlib.contextmanager
@@ -912,7 +1053,7 @@ def slowly(f):
         return f(*args)
     return slow
 
-audit._canonical_event = slowly(audit._canonical_event)
+audit._canonical_row = slowly(audit._canonical_row)
 audit.event_to_line = slowly(audit.event_to_line)
 sys.exit(cli.main(sys.argv[1:]))
 """

@@ -2,9 +2,15 @@
 lists must still be bound where it looks, or a traced run fails at install."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+from iamsim import AuditEvent, EventKind, Verdict, archive_from_events, cli, write_archive
+
+from conftest import utc
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -51,3 +57,32 @@ def test_every_tracer_site_is_defined_or_read_where_patched():
         if not (defined or read):
             unused.add((module, name))
     assert unused == BOUND_ONLY_FOR_TRACER
+
+
+def test_traced_audit_reads_count_what_they_scan(tmp_path):
+    """A traced ``audit query`` counts every event it scans and every hit it
+    returns, and a traced ``denied-summary`` is seen, however the commands
+    come to read their log."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    log = tmp_path / "log.jsonl"
+    write_archive(archive_from_events(
+        AuditEvent(time=utc(2024, 1, 1, 0, 0, second), kind=EventKind.LOGIN, user="ana",
+                   account="111111111111", verdict=Verdict.DENY if second % 3 else Verdict.ALLOW)
+        for second in range(7)
+    ), log)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["--format", "json", "audit", "query", str(log),
+                             "--verdict", "Deny"]) == 0
+            hits = out.getvalue().count("\n")
+            assert cli.main(["audit", "denied-summary", str(log), "--bucket", "1h"]) == 0
+    finally:
+        tracer.uninstall()
+    assert hits == 4
+    assert tracer.counts["events_scanned"] == 7
+    assert tracer.counts["events_returned"] == hits
+    assert tracer.calls["audit.query"] == tracer.calls["audit.denied_access_summary"] == 1
