@@ -85,12 +85,12 @@ class TestParse:
         ("Action", 5, "statement 0: Action must be a string or list of strings"),
         ("Resource", [], "statement 0: Resource list is empty"),
         ("Action", "s3", "statement 0: invalid action pattern 's3': expected 'service:operation'"),
-        ("Action", "s3:Get?bject",
-         "statement 0: invalid operation pattern 'Get?bject': '?' is not an ASCII letter or digit"),
-        ("Action", "s3:G*t", "statement 0: invalid operation pattern 'G*t': one trailing '*' at most"),
         ("Principal", [], "statement 0: Principal list is empty"),
         ("Condition", {"StringEquals": {"": "x"}},
          "statement 0: condition keys must be non-empty strings"),
+        ("Action", "s3:Get?bject",
+         "statement 0: invalid operation pattern 'Get?bject': '?' is not an ASCII letter or digit"),
+        ("Action", "s3:G*t", "statement 0: invalid operation pattern 'G*t': one trailing '*' at most"),
     ])
     def test_statement_errors_are_prefixed_once(self, field, value, message):
         stmt = {"Effect": "Allow", "Action": "s3:GetObject", "Resource": "*", field: value}
