@@ -1,8 +1,7 @@
 """Atomic output files: write beside the target, then rename into place.
 
 A reader of a staged target sees either its old content or the complete new
-content, never a partial write. Several targets can be staged together so
-that none of them is replaced unless every one was written.
+content, never a partial write.
 
 Only a target that does not exist yet or is a regular file is staged. Any
 other target (a symbolic link, a device such as ``/dev/null`` or
@@ -49,30 +48,23 @@ def _stage_beside(target: Path) -> Path | None:
 
 
 @contextlib.contextmanager
-def replacing(*targets: str | os.PathLike | None) -> Iterator[list[Path | None]]:
-    """Yield one path to write per target: a fresh temporary for a staged
-    target, the target itself for one written in place, ``None`` for a
-    ``None`` target. When the block completes, each temporary is renamed
-    over its target; when it raises, every temporary is removed and no
-    staged target is touched."""
-    paths: list[Path | None] = []
-    staged: list[tuple[Path, Path]] = []
+def replacing(target: str | os.PathLike | None) -> Iterator[Path | None]:
+    """Yield the path to write for ``target``: a fresh temporary when it is
+    staged, the target itself when it is written in place, ``None`` for a
+    ``None`` target. When the block completes, the temporary is renamed over
+    the target; when it raises, the temporary is removed and the target is
+    not touched."""
+    if target is None:
+        yield None
+        return
+    temp = _stage_beside(Path(target))
+    if temp is None:
+        yield Path(target)
+        return
     try:
-        for target in targets:
-            if target is None:
-                paths.append(None)
-                continue
-            temp = _stage_beside(Path(target))
-            if temp is None:
-                paths.append(Path(target))
-            else:
-                paths.append(temp)
-                staged.append((temp, Path(target)))
-        yield paths
-        for temp, target in staged:
-            os.replace(temp, target)
-        staged.clear()
-    finally:
-        for temp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(temp)
+        yield temp
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise

@@ -18,9 +18,9 @@ offsets, fractions and other digit scripts are rejected, never coerced.
 replacing a regular target file atomically (see :mod:`iamsim.atomic`).
 ``audit merge`` streams too: :func:`_merge_streamed` merges one stream per
 input with ``heapq.merge`` into the staged archive, holding one pending
-row per input, and leaves the inputs to :func:`read_archive`,
-:func:`merge_archives` and :func:`write_archive` whenever it cannot give
-their result in one pass.
+row per input and checking the (time, source) order once, on the merged
+rows. It leaves the inputs to :func:`read_archive`, :func:`merge_archives`
+and :func:`write_archive` whenever it cannot give their result in one pass.
 
 A line in the exact form :func:`event_to_line` writes, every value printable
 ASCII with no quote, backslash or DEL and so free of escapes, and a source
@@ -53,11 +53,6 @@ from itertools import pairwise
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-try:
-    from resource import RLIM_INFINITY, RLIMIT_NOFILE, getrlimit
-except ImportError:  # no such limit to read, as on Windows
-    getrlimit = None
 
 from .atomic import replacing
 from .policy import (
@@ -320,7 +315,7 @@ def merge_archives(archives: Sequence[LogArchive]) -> LogArchive:
 def write_archive(archive: LogArchive, path) -> None:
     """Write one line per event; ``path`` is replaced only once every line
     is written, so a failed write leaves any earlier file as it was."""
-    with replacing(path) as (target,):
+    with replacing(path) as target:
         with open(target, "w", encoding="utf-8") as fh:
             fh.writelines(map(event_to_line, archive.events))
 
@@ -415,65 +410,44 @@ def read_archive(path) -> LogArchive:
     return archive_from_events(EventStream(path))
 
 
-_first = operator.itemgetter(0)
-
-
-class _CannotStream(Exception):
-    """A streamed merge gave up; its inputs are to be read in full instead."""
-
-
-# file descriptors kept free of a streamed merge's inputs
-_SPARE_FDS = 16
-_EARLIEST = (datetime.min.replace(tzinfo=timezone.utc), "")
-
-
-def _ordered_lines(stream: _RowStream) -> Iterator[tuple[tuple[datetime, str], str]]:
-    """((time, source), line as :func:`event_to_line` writes it) for each
-    row of ``stream``; raises :class:`_CannotStream` at the first row out of
-    (time, source) order."""
-    last = _EARLIEST
-    for row in stream:
-        key = _order_key(row)
-        if key < last:
-            raise _CannotStream
-        last = key
-        yield key, row.line or event_to_line(row)
-
-
 def _merge_streamed(paths: Sequence, target) -> tuple[int, frozenset[str]] | None:
     """Write the merge of the logs at ``paths`` to ``target`` as
     :func:`merge_archives` and :func:`write_archive` would, holding one
     pending row per input; returns the number of events and the accounts
     covered.
 
-    For inputs that are each in (time, source) order, a stable k-way merge
-    gives the stable sort of their concatenation that :func:`merge_archives`
-    makes: ties go to the earlier input, then to file order.
+    A stable k-way merge keeps each input's own order, so the merged rows
+    are in (time, source) order exactly when every input is: one check on
+    the merged rows finds any input out of order. For inputs in order, the
+    merge is the stable sort of their concatenation that
+    :func:`merge_archives` makes: ties go to the earlier input, then to file
+    order.
 
     Returns ``None``, leaving ``target`` as it was, when an input is not a
-    regular file (it could not be read again), when the inputs would use up
-    the open-file limit, when ``target`` is written in place, and on a read
-    or write error or an input out of order; reading every input in full
-    then gives the same output, or the same first error.
+    regular file (it could not be read again), when ``target`` is written in
+    place, and on a read or write error (running out of file descriptors
+    included) or an input out of order; reading every input in full then
+    gives the same output, or the same first error.
     """
-    if getrlimit is not None:
-        soft, _ = getrlimit(RLIMIT_NOFILE)
-        if soft != RLIM_INFINITY and len(paths) > soft - _SPARE_FDS:
-            return None
     covered: set[str] = set()
     try:
         if not all(stat.S_ISREG(os.stat(path).st_mode) for path in paths):
             return None
         streams = [_RowStream(path) for path in paths]
-        with replacing(target) as (staged,):
+        with replacing(target) as staged:
             if staged == Path(target):  # a link, device or FIFO is written in place
-                raise _CannotStream
+                return None
             with open(staged, "w", encoding="utf-8") as fh:
                 write, cover = fh.write, covered.add
-                for (_, source), line in heapq.merge(*map(_ordered_lines, streams), key=_first):
-                    write(line)
-                    cover(source)
-    except (_CannotStream, ValueError, OSError):  # EventError is a ValueError
+                last = ()  # sorts before every (time, source)
+                for row in heapq.merge(*streams, key=_order_key):
+                    key = _order_key(row)
+                    if key < last:
+                        raise ValueError("an input is out of (time, source) order")
+                    last = key
+                    write(row.line or event_to_line(row))
+                    cover(row.source)
+    except (ValueError, OSError):  # EventError is a ValueError
         return None
     return sum(map(len, streams)), frozenset(covered)
 

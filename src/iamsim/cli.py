@@ -141,11 +141,14 @@ def _read_requests(path: str) -> list[AccessRequest]:
     return requests
 
 
-def _check_out_dirs(*paths: str | None) -> None:
-    """A missing directory for an output file is invalid input (exit 2),
-    refused before any log or request is read."""
-    for path in paths:
-        if path and not Path(path).resolve().parent.is_dir():
+def _check_out_paths(paths: dict[str, str | None]) -> None:
+    """An empty output path, or a missing directory for an output file, is
+    invalid input (exit 2), refused before any log or request is read;
+    ``paths`` maps each output flag to its value."""
+    for flag, path in paths.items():
+        if path == "":
+            raise CliError(f"{flag}: empty output path")
+        if path is not None and not Path(path).resolve().parent.is_dir():
             raise CliError(f"output directory does not exist: {Path(path).parent}")
 
 
@@ -192,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     if args.out and args.emit_log and Path(args.out).resolve() == Path(args.emit_log).resolve():
         raise CliError("--out and --emit-log name the same file")
     org = _load_org(args)
-    _check_out_dirs(args.out, args.emit_log)
+    _check_out_paths({"--out": args.out, "--emit-log": args.emit_log})
     requests = _read_requests(args.requests)
     events = []
     decisions = simulate(org, requests, sink=events.append)
@@ -203,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     # --out is fully written to its staged file before write_archive writes
     # and renames the log, and is renamed only after that, so a run that
     # fails to write either file leaves neither behind
-    with replacing(args.out or None) as (out_path,):
+    with replacing(args.out) as out_path:
         if out_path:
             out_path.write_text(body, encoding="utf-8")
         if args.emit_log:
@@ -254,7 +257,7 @@ def cmd_analyze_generate(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_audit_merge(args: argparse.Namespace) -> tuple[int, str]:
-    _check_out_dirs(args.out)
+    _check_out_paths({"--out": args.out})
     merged = _merge_streamed(args.logs, args.out)
     if merged is None:  # every input is read in full, in argument order
         archive = merge_archives([read_archive(p) for p in args.logs])

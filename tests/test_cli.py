@@ -310,6 +310,24 @@ class TestSimulate:
         assert (code, out, err) == (2, "", "--out and --emit-log name the same file\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "reqs.jsonl"]
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--out", ""], "--out"),
+        (["--emit-log", ""], "--emit-log"),
+        (["--out", "", "--emit-log", ""], "--out"),
+    ])
+    def test_empty_output_path_exits_two(self, run, sharing_scenario_path, tmp_path,
+                                         monkeypatch, flags, flag):
+        requests = tmp_path / "reqs.jsonl"
+        requests.write_text(json.dumps({
+            "user": "user-1", "account": "111111111111",
+            "action": "s3:GetObject", "resource": "arn:aws:s3:::bucket-s",
+        }) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run("--scenario", str(sharing_scenario_path), "simulate",
+                             str(requests), *flags)
+        assert (code, out, err) == (2, "", f"{flag}: empty output path\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reqs.jsonl"]
+
     def test_linked_outputs_are_written_through(self, run, sharing_scenario_path, tmp_path):
         requests = tmp_path / "reqs.jsonl"
         requests.write_text(json.dumps({
@@ -599,6 +617,16 @@ class TestAudit:
             assert err.startswith(f"{a}:2: event field '{field}' must be a string")
             assert err.count("\n") == 1
         assert not merged.exists()
+
+    def test_merge_into_an_empty_path_exits_two_first(self, run, tmp_path, monkeypatch):
+        a, _, _ = self._logs(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run("audit", "merge", str(a), str(bad), "--out", "")
+        assert (code, out, err) == (2, "", "--out: empty output path\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_merge_into_a_missing_directory_exits_two_first(self, run, tmp_path):
         a, _, _ = self._logs(tmp_path)
@@ -969,9 +997,9 @@ def _merge_runs(draw):
     return files, argv
 
 
-def _login_line(second: int, source: str) -> str:
+def _login_line(second: int, source: str, user: str = "ana") -> str:
     return event_to_line(AuditEvent(time=utc(2024, 1, 1, 0, 0, second), kind=EventKind.LOGIN,
-                                    user="ana", account=source, verdict=Verdict.ALLOW))
+                                    user=user, account=source, verdict=Verdict.ALLOW))
 
 
 @settings(max_examples=100, deadline=None)
@@ -979,6 +1007,11 @@ def _login_line(second: int, source: str) -> str:
 # a tie on time goes to the lesser source, and a tie on both to the earlier input
 @example(({"log0.jsonl": _login_line(1, "222222222222") + _login_line(2, "111111111111"),
            "log1.jsonl": _login_line(1, "111111111111") + _login_line(2, "111111111111")},
+          ["--format", "json", "audit", "merge", "log0.jsonl", "log1.jsonl", "--out", "x"]))
+# the inversion inside log0 shows in the merged rows only at the last row,
+# after rows of log1 have been written to the staged archive
+@example(({"log0.jsonl": "".join(_login_line(s, "111111111111") for s in (1, 5, 3)),
+           "log1.jsonl": "".join(_login_line(s, "111111111111") for s in (2, 4))},
           ["--format", "json", "audit", "merge", "log0.jsonl", "log1.jsonl", "--out", "x"]))
 def test_streamed_merge_matches_the_full_merge(case):
     files, argv = case
@@ -991,6 +1024,32 @@ def test_streamed_merge_matches_the_full_merge(case):
             Path("link.jsonl").symlink_to("log0.jsonl")
             outcomes.append((merge(argv), _listing(tmp)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_ordered_inputs_with_ties_stay_on_the_streamed_path(tmp_path):
+    """Logs in (time, source) order merge in one pass, also where they tie
+    on (time, source) across inputs and within one input: the full read and
+    merge are never called."""
+    a, b = "111111111111", "222222222222"
+    files = {
+        "log0.jsonl": _login_line(1, a, "ana") + _login_line(1, a, "bo") + _login_line(2, b, "cy"),
+        "log1.jsonl": _login_line(1, a, "di") + _login_line(2, a, "ed") + _login_line(2, b, "fa"),
+    }
+    argv = ["--format", "json", "audit", "merge", *files, "--out", "archive.jsonl"]
+
+    def read_in_full(*args):
+        raise AssertionError("an input was read in full")
+
+    with _in_dir(tmp_path):
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="utf-8")
+        expected = _full_merge(argv)
+        archive = Path("archive.jsonl").read_bytes()
+        Path("archive.jsonl").unlink()
+        with mock.patch.object(cli, "merge_archives", read_in_full), \
+                mock.patch.object(cli, "read_archive", read_in_full):
+            assert _cli(argv) == expected and expected[0] == 0
+        assert Path("archive.jsonl").read_bytes() == archive
 
 
 def _feed(fifo, data: bytes) -> threading.Thread:
