@@ -19,6 +19,9 @@ from pathlib import Path
 from typing import Iterator
 
 _ATTEMPTS = 100
+# a temporary's name adds 14 bytes to the target's, so it keeps at most the
+# first 241 bytes of it, to fit the 255 bytes most file systems allow a name
+_KEPT = 241
 
 
 def _stage_beside(target: Path) -> Path | None:
@@ -37,8 +40,9 @@ def _stage_beside(target: Path) -> Path | None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         if not stat.S_ISREG(mode):
             return None
+    name = os.fsdecode(os.fsencode(target.name)[:_KEPT])
     for _ in range(_ATTEMPTS):
-        temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+        temp = target.with_name(f".{name}.{os.urandom(4).hex()}.tmp")
         try:
             os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         except FileExistsError:

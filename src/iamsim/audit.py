@@ -30,11 +30,13 @@ its event. Every other line, and any such line that fails a check, is decoded
 by ``json.loads`` and checked as :func:`event_from_obj` checks it, so every
 error message is the JSON decoder's or :func:`event_from_obj`'s.
 
-Each line read becomes a checked row: the event's fields, named as its
-attributes, and the line as read when the regex took it. :class:`EventStream`
-builds an event of each row; ``audit query``, ``audit denied-summary`` and a
-streamed merge work on the rows, build no event, and write a kept line that
-the regex took as it was read.
+Each line read becomes a checked row: the event's fields, named and ordered
+as :class:`AuditEvent`'s, and the line as read when the regex took it. An
+event is a checked tuple of its fields, so :class:`EventStream` makes the
+event of a row from the row's first eight items without checking them
+again; ``audit query``, ``audit denied-summary`` and a streamed merge work
+on the rows, build no event, and write a kept line that the regex took as
+it was read.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import operator
 import os
 import re
 import stat
+from collections import namedtuple
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -108,14 +111,10 @@ def format_timestamp(when: datetime) -> str:
 # events repeat a small set of actions, so each distinct one is split once
 _split_concrete_action = functools.lru_cache(maxsize=4096)(split_action)
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class AuditEvent:
-    """One recorded activity. API calls carry a concrete action and resource;
-    logins carry neither. ``source`` is the account whose log produced the
-    event (equal to ``account`` for self-produced events). Every text field
-    must be a ``str``."""
 
+class _EventFields(NamedTuple):
     time: datetime
     kind: EventKind
     user: str
@@ -125,16 +124,31 @@ class AuditEvent:
     resource: str = ""
     source: str = ""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, datetime) or self.time.tzinfo is None:
+
+class AuditEvent(_EventFields):
+    """One recorded activity. API calls carry a concrete action and resource;
+    logins carry neither. ``source`` is the account whose log produced the
+    event (equal to ``account`` for self-produced events). Every text field
+    must be a ``str``.
+
+    An event is a tuple of its fields, checked however it is built: by a
+    call, :meth:`_make`, :meth:`_replace`, ``pickle`` or ``copy``."""
+
+    __slots__ = ()
+
+    def __new__(cls, time, kind, user, account, verdict, action="", resource="", source=""):
+        if not isinstance(time, datetime) or time.tzinfo is None:
             raise EventError("event time must be a timezone-aware UTC datetime")
-        if not isinstance(self.kind, EventKind):
-            raise EventError(f"bad event kind {self.kind!r}")
-        if not isinstance(self.verdict, Verdict):
-            raise EventError(f"bad verdict {self.verdict!r}")
-        source = _checked_source(self.kind, self.user, self.account, self.action,
-                                 self.resource, self.source)
-        object.__setattr__(self, "source", source)
+        if not isinstance(kind, EventKind):
+            raise EventError(f"bad event kind {kind!r}")
+        if not isinstance(verdict, Verdict):
+            raise EventError(f"bad verdict {verdict!r}")
+        source = _checked_source(kind, user, account, action, resource, source)
+        return _new_tuple(cls, (time, kind, user, account, verdict, action, resource, source))
+
+    @classmethod
+    def _make(cls, iterable) -> AuditEvent:
+        return cls(*iterable)
 
 
 def _not_a_string(name: str, value: object) -> str:
@@ -201,25 +215,9 @@ def event_to_line(event: AuditEvent) -> str:
     )
 
 
-class _Row(NamedTuple):
-    """The checked fields of one log line, named as :class:`AuditEvent`'s,
-    and the line as read when it is exactly :func:`event_to_line` of them,
-    else ``None``."""
-
-    time: datetime
-    kind: EventKind
-    user: str
-    account: str
-    verdict: Verdict
-    action: str
-    resource: str
-    source: str
-    line: str | None
-
-
-_new_row = tuple.__new__
-_new_object = object.__new__
-_set_field = object.__setattr__
+# the checked fields of one log line, named as AuditEvent's, and the line as
+# read when it is exactly event_to_line of them, else None
+_Row = namedtuple("_Row", (*_EventFields._fields, "line"))
 
 
 def event_from_obj(obj: object) -> AuditEvent:
@@ -250,25 +248,13 @@ def _row_from_obj(obj: object) -> _Row:
     when = parse_timestamp(time)
     user, account, action, resource = obj["user"], obj["account"], obj["action"], obj["resource"]
     source = _checked_source(event_kind, user, account, action, resource, obj["source"])
-    return _new_row(_Row, (when, event_kind, user, account, event_verdict, action, resource,
-                           source, None))
+    return _new_tuple(_Row, (when, event_kind, user, account, event_verdict, action, resource,
+                             source, None))
 
 
 def _row_event(row: _Row) -> AuditEvent:
-    """The event of a checked row, built without __init__. The fields are set
-    in declaration order, as __init__ sets them, so that all events keep
-    sharing their class's attribute key table."""
-    time, kind, user, account, verdict, action, resource, source, _ = row
-    event = _new_object(AuditEvent)
-    _set_field(event, "time", time)
-    _set_field(event, "kind", kind)
-    _set_field(event, "user", user)
-    _set_field(event, "account", account)
-    _set_field(event, "verdict", verdict)
-    _set_field(event, "action", action)
-    _set_field(event, "resource", resource)
-    _set_field(event, "source", source)
-    return event
+    """The event of a checked row."""
+    return _new_tuple(AuditEvent, row[:8])
 
 
 # (time, source) of an event or a checked row
@@ -352,8 +338,8 @@ def _canonical_row(line: str) -> _Row | None:
         source = _kind_rules(event_kind, user, account, action, resource, source)
     except ValueError:  # EventError included
         return None
-    return _new_row(_Row, (when, event_kind, user, account, event_verdict, action, resource,
-                           source, line))
+    return _new_tuple(_Row, (when, event_kind, user, account, event_verdict, action, resource,
+                             source, line))
 
 
 class EventStream:

@@ -97,9 +97,13 @@ def _parse_principal(text: str) -> tuple[str, str]:
 def _parse_context(pairs: list[str]) -> dict[str, str]:
     context = {}
     for pair in pairs:
-        if "=" not in pair:
+        key, eq, value = pair.partition("=")
+        if not eq:
             raise CliError(f"bad context entry {pair!r}: expected KEY=VALUE")
-        key, value = pair.split("=", 1)
+        if not key:
+            raise CliError(f"bad context entry {pair!r}: empty key")
+        if key in context:
+            raise CliError(f"bad context entry {pair!r}: key {key!r} given twice")
         context[key] = value
     return context
 

@@ -257,30 +257,29 @@ def replay_verify(
     """Re-authorize observations and a complement sample against ``org``.
 
     ``org`` should already carry the generated policy as the principal's
-    sole permission set (see :func:`install_sole_permission_set`). Each
-    observed pair is authorized. A sampled pair is authorized only when it
-    is the first of its action and resource class (see
-    :func:`_resource_classes`); every later pair of the same action and
-    class takes that verdict, which ``authorize`` would give it again.
+    sole permission set (see :func:`install_sole_permission_set`). A pair
+    is authorized only when it is the first of its action and resource
+    class (see :func:`_resource_classes`); every later pair of the same
+    action and class takes that verdict, which ``authorize`` would give it
+    again. The observed pairs are decided first, in sorted order, then the
+    sample in its own order.
     """
     user, account = principal
-
-    def allowed(action: str, resource: str) -> bool:
-        decision = authorize(org, AccessRequest(
-            user=user, account=account, action=action, resource=resource,
-        ))
-        return decision.verdict is Verdict.ALLOW
-
-    covered = sum(1 for action, resource in sorted(observed_pairs) if allowed(action, resource))
     class_of = _resource_classes(org, user, account)
     verdicts: dict[tuple[str, Hashable], bool] = {}
-    excess_allowed = 0
-    for action, resource in complement_sample:
+
+    def allowed(action: str, resource: str) -> bool:
         key = (action, class_of(resource))
         verdict = verdicts.get(key)
         if verdict is None:
-            verdict = verdicts[key] = allowed(action, resource)
-        excess_allowed += verdict
+            decision = authorize(org, AccessRequest(
+                user=user, account=account, action=action, resource=resource,
+            ))
+            verdict = verdicts[key] = decision.verdict is Verdict.ALLOW
+        return verdict
+
+    covered = sum(allowed(action, resource) for action, resource in sorted(observed_pairs))
+    excess_allowed = sum(allowed(action, resource) for action, resource in complement_sample)
     observed = len(observed_pairs)
     sampled = len(complement_sample)
     return VerificationResult(

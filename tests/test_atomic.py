@@ -1,6 +1,7 @@
 """Staged output files: the target is replaced whole, or not touched."""
 
 import os
+import re
 import stat
 
 import pytest
@@ -76,3 +77,19 @@ def test_fifo_target_is_written_not_replaced(tmp_path):
         os.close(reader)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+@pytest.mark.parametrize("name", [
+    "a" * 241, "a" * 242, "a" * 251 + ".txt", "\u00e9" * 127 + "a",
+], ids=["241-bytes", "242-bytes", "255-bytes", "255-bytes-cut-inside-a-character"])
+def test_long_target_name_is_staged_under_a_shortened_name(tmp_path, name):
+    target = tmp_path / name
+    with replacing(target) as temp:
+        staged = os.fsencode(temp.name)
+        temp.write_text("new", encoding="utf-8")
+    # the first 241 bytes of the name are kept, which is all of a name that short
+    kept = os.fsencode(name)[:241]
+    assert re.fullmatch(rb"\." + re.escape(kept) + rb"\.[0-9a-f]{8}\.tmp", staged)
+    assert len(staged) <= 255
+    assert target.read_text(encoding="utf-8") == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

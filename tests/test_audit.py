@@ -1,7 +1,10 @@
 """Audit events, archive ordering, merging, queries and summaries."""
 
+import contextlib
+import copy
 import json
 import os
+import pickle
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -297,12 +300,13 @@ def reference_stream(path):
 
 
 def stream_outcome(events):
-    """The repr and attribute order of each event read, and the text of the
-    error that ended the read, if any."""
+    """The repr of each event read, and the text of the error that ended the
+    read, if any."""
     read = []
     try:
         for event in events:
-            read.append((repr(event), list(vars(event))))
+            assert type(event) is AuditEvent
+            read.append(repr(event))
     except LogLineError as exc:
         return read, str(exc)
     return read, None
@@ -323,6 +327,29 @@ def _inserting(key: str, text: str):
     return lambda line: line.replace(f'"{key}":"', f'"{key}":"{text}', 1)
 
 
+# field changes, with values as a log line carries them; each makes the event
+# bad, except an empty source, which defaults to the account
+FIELD_CHANGES = [
+    dict(kind="Logout"),
+    dict(kind="login"),
+    dict(verdict="Maybe"),
+    dict(time="2024-02-30T00:00:00Z"),
+    dict(time="0000-01-01T00:00:00Z"),
+    dict(time="2024-1-01T00:00:00Z"),
+    dict(time="2024-01-01T00:00:00+00:00"),
+    dict(kind="ApiCall", action="", resource="arn:aws:s3:::a"),
+    dict(kind="ApiCall", action="s3:GetObject", resource=""),
+    dict(kind="ApiCall", action="s3GetObject", resource="arn:aws:s3:::a"),
+    dict(kind="Login", action="s3:GetObject", resource=""),
+    dict(kind="Login", action="", resource="arn:aws:s3:::a"),
+    dict(kind="ApiCall", action="s3:GetObject", resource="arn:aws:s3:::*"),
+    dict(source=""),  # defaults to the account
+    dict(user=""),
+    dict(account=""),
+    dict(user=5),
+    dict(extra="x"),
+]
+
 # each turns one canonical line into a line that must be read as the JSON
 # decoder reads it: a valid line in another layout, or an invalid one
 LINE_MUTATIONS = [
@@ -342,25 +369,72 @@ LINE_MUTATIONS = [
     lambda line: " " + line,
     lambda line: line[:-1] + " \n",
     lambda line: line + "\n",
-    _with_fields(kind="Logout"),
-    _with_fields(kind="login"),
-    _with_fields(verdict="Maybe"),
-    _with_fields(time="2024-02-30T00:00:00Z"),
-    _with_fields(time="0000-01-01T00:00:00Z"),
-    _with_fields(time="2024-1-01T00:00:00Z"),
-    _with_fields(time="2024-01-01T00:00:00+00:00"),
-    _with_fields(kind="ApiCall", action="", resource="arn:aws:s3:::a"),
-    _with_fields(kind="ApiCall", action="s3:GetObject", resource=""),
-    _with_fields(kind="ApiCall", action="s3GetObject", resource="arn:aws:s3:::a"),
-    _with_fields(kind="Login", action="s3:GetObject", resource=""),
-    _with_fields(kind="Login", action="", resource="arn:aws:s3:::a"),
-    _with_fields(kind="ApiCall", action="s3:GetObject", resource="arn:aws:s3:::*"),
-    _with_fields(source=""),  # defaults to the account
-    _with_fields(user=""),
-    _with_fields(account=""),
-    _with_fields(user=5),
-    _with_fields(extra="x"),
+    *(_with_fields(**changes) for changes in FIELD_CHANGES),
 ]
+
+
+def _event_fields(changes: dict) -> dict:
+    """The fields of an API call event, in declaration order, with
+    ``changes`` applied; each value is decoded as a log line's would be when
+    it decodes."""
+    fields = dict(time=utc(2024, 1, 1), kind=EventKind.API_CALL, user="ana",
+                  account=ACCOUNTS[0], verdict=Verdict.ALLOW, action="s3:GetObject",
+                  resource="arn:aws:s3:::a", source=ACCOUNTS[1])
+    decoders = {"time": parse_timestamp, "kind": EventKind, "verdict": Verdict}
+    for name, value in changes.items():
+        if name in decoders:
+            with contextlib.suppress(ValueError):  # EventError included
+                value = decoders[name](value)
+        fields[name] = value
+    return fields
+
+
+def _unchecked(fields: dict) -> AuditEvent:
+    return tuple.__new__(AuditEvent, fields.values())
+
+
+# every way to build an event from its fields
+EVENT_BUILDERS = {
+    "positional": lambda fields: AuditEvent(*fields.values()),
+    "keyword": lambda fields: AuditEvent(**fields),
+    "_make": lambda fields: AuditEvent._make(fields.values()),
+    "_replace": lambda fields: make_event(random.Random(5))._replace(**fields),
+    "pickle": lambda fields: pickle.loads(pickle.dumps(_unchecked(fields))),
+    "copy": lambda fields: copy.copy(_unchecked(fields)),
+    "deepcopy": lambda fields: copy.deepcopy(_unchecked(fields)),
+}
+
+
+def build_outcome(build, fields):
+    """The event built, or the text of the error that refused it."""
+    try:
+        event = build(fields)
+    except EventError as exc:
+        return str(exc)
+    assert type(event) is AuditEvent
+    return event
+
+
+class TestEventBuilders:
+    @pytest.mark.parametrize("changes", [
+        {}, *(c for c in FIELD_CHANGES if c.keys() <= set(AuditEvent._fields)),
+    ], ids=str)
+    @pytest.mark.parametrize("how", list(EVENT_BUILDERS))
+    def test_every_way_to_build_an_event_checks_it(self, how, changes):
+        fields = _event_fields(changes)
+        built = build_outcome(EVENT_BUILDERS[how], fields)
+        assert built == build_outcome(EVENT_BUILDERS["keyword"], fields)
+        if changes in ({}, {"source": ""}):
+            assert built == tuple({**fields, "source": fields["source"] or ACCOUNTS[0]}.values())
+
+    def test_an_event_is_a_tuple_of_its_fields(self):
+        event = make_event(random.Random(7))
+        assert len(event) == 8
+        assert event == tuple(getattr(event, name) for name in AuditEvent._fields)
+        time, *_, source = event
+        assert (time, source) == (event.time, event.source)
+        earlier = event._replace(time=time - timedelta(seconds=1), user="zz")
+        assert sorted([event, earlier]) == [earlier, event]
 
 
 class TestCodec:
@@ -462,7 +536,7 @@ class TestCodec:
         events = tuple(EventStream(path))
         assert events == archive.events
         assert [repr(e) for e in events] == [repr(e) for e in archive.events]
-        assert all(list(vars(e)) == list(vars(archive.events[0])) for e in events)
+        assert all(type(e) is AuditEvent for e in events)
 
     def test_stream_reads_its_file_once(self, tmp_path):
         archive = random_archive(random.Random(17), 12)

@@ -179,6 +179,24 @@ class TestAuthorize:
         assert run(*base)[0] == 1
         assert run(*base, "--context", "env=prod")[0] == 0
 
+    @pytest.mark.parametrize("entries, message", [
+        (["=v"], "bad context entry '=v': empty key"),
+        (["k=a", "k=b"], "bad context entry 'k=b': key 'k' given twice"),
+        (["k=a", "j=", "k="], "bad context entry 'k=': key 'k' given twice"),
+    ])
+    def test_bad_context_entry_exits_two(self, run, sharing_scenario_path, tmp_path,
+                                         entries, message):
+        flags = [f for entry in entries for f in ("--context", entry)]
+        request = ["authorize", "--user", "user-1", "--account", "111111111111",
+                   "--action", "s3:GetObject", "--resource", "arn:aws:s3:::bucket-s", *flags]
+        assert run("--scenario", str(sharing_scenario_path), *request) == \
+            (2, "", f"{message}\n")
+        # a scenario error is reported first
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run("--scenario", missing, *request)
+        assert (code, out, err) == run("--scenario", missing, *request[:-len(flags)])
+        assert code != 0 and "bad context entry" not in err
+
     def test_json_format_with_trace(self, run, sharing_scenario_path):
         code, out, _ = run(
             "--scenario", str(sharing_scenario_path), "--format", "json", "authorize",
@@ -627,6 +645,16 @@ class TestAudit:
         code, out, err = run("audit", "merge", str(a), str(bad), "--out", "")
         assert (code, out, err) == (2, "", "--out: empty output path\n")
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_merge_into_a_long_output_name(self, run, tmp_path, monkeypatch):
+        # the name is 246 bytes long, so the temporary beside it keeps a shortened one
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        name = "a" * 240 + ".jsonl"
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run("audit", "merge", "empty.jsonl", "--out", name)
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name, "empty.jsonl"]
+        assert (tmp_path / name).read_bytes() == b""
 
     def test_merge_into_a_missing_directory_exits_two_first(self, run, tmp_path):
         a, _, _ = self._logs(tmp_path)

@@ -526,6 +526,8 @@ class TestClassReplay:
             api_event(utc(2024, 1, 1, 0, 0), "dev", "s3:GetObject", "arn:aws:s3:::bkt-00"),
             api_event(utc(2024, 1, 1, 0, 1), "ops", "s3:ListBucket", "arn:aws:s3:::bkt-01"),
             api_event(utc(2024, 1, 1, 0, 2), "dev", "s3:PutObject", "arn:aws:s3:::bkt-02"),
+            api_event(utc(2024, 1, 1, 0, 3), "dev", "s3:GetObject", "arn:aws:s3:::bkt-03"),
+            api_event(utc(2024, 1, 1, 0, 4), "dev", "s3:GetObject", "arn:aws:s3:::bkt-04"),
         ])
         calls = []
 
@@ -536,9 +538,10 @@ class TestClassReplay:
         monkeypatch.setattr(usage, "authorize", counting)
         generated = generate_least_privilege(index, ("dev", ACCT), 2, GEN_WINDOW)
         v = generated.verification
-        assert (v.observed, v.sampled) == (2, 3 * 40 - 2)
-        # the 40 buckets form one class, so one call per action settles the sample
-        assert len(calls) - v.observed <= 3
+        assert (v.observed, v.sampled) == (4, 3 * 40 - 4)
+        # the 40 buckets form one class, so one call per action settles the
+        # observed pairs and the sample alike
+        assert len(calls) == 3
         observed = index.observed_in_window(("dev", ACCT), GEN_WINDOW)
         assert v == per_pair_verify(calls[0][0], ("dev", ACCT), observed,
                                     complement_sample(index, observed))
