@@ -12,8 +12,11 @@ logs cover the ways a merge reads its inputs and a query writes its hits: a
 shuffled per-account log, which a merge reads in full and sorts, and a log
 with DEL characters and empty sources, whose lines are written re-encoded.
 Each is merged, and read by every query of the manifest and by
-``denied-summary``, in both formats. Two checkouts produce the same output
-exactly when a ``diff`` of their runs is empty:
+``denied-summary``, in both formats. Before the commands, one more line
+digests the loaded organization itself: the sha256 of the sorted-key JSON of
+``export_scenario(load_scenario("scenario.json"))``, which pins a change to
+loading record by record. Two checkouts produce the same output exactly when
+a ``diff`` of their runs is empty:
 
     python scripts/output_digests.py --src /path/to/a/src > a.txt
     python scripts/output_digests.py --src /path/to/b/src > b.txt
@@ -177,6 +180,7 @@ def main() -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import iamsim.cli
+    from iamsim.org import export_scenario, load_scenario
     if not Path(iamsim.cli.__file__).resolve().is_relative_to(src):
         parser.error(f"iamsim was imported from {iamsim.cli.__file__}, not from {src}")
     gen = load_gen()
@@ -186,6 +190,11 @@ def main() -> int:
             manifest = gen.generate(workload, args.seed, Path(tmp))
             os.chdir(tmp)
             try:
+                exported = json.dumps(export_scenario(load_scenario("scenario.json")),
+                                      sort_keys=True)
+                digest = hashlib.sha256(exported.encode()).hexdigest()
+                print(f"{workload}\texport_scenario(load_scenario scenario.json)\t{digest}",
+                      flush=True)
                 for label, argv, writes in commands(manifest):
                     digest = run(iamsim.cli.main, argv, writes)
                     print(f"{workload}\t{label or ' '.join(argv)}\t{digest}", flush=True)

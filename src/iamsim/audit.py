@@ -150,6 +150,11 @@ class AuditEvent(_EventFields):
     def _make(cls, iterable) -> AuditEvent:
         return cls(*iterable)
 
+    def __reduce__(self):
+        # every pickle protocol and copy rebuild the event by a call; protocols
+        # 0 and 1 would otherwise rebuild the tuple unchecked
+        return AuditEvent, tuple(self)
+
 
 def _not_a_string(name: str, value: object) -> str:
     return f"event field {name!r} must be a string, not {type(value).__name__}"

@@ -223,6 +223,8 @@ def cmd_analyze_unused(args: argparse.Namespace) -> tuple[int, str]:
     archive = read_archive(args.log)
     index = build_usage_index(org, archive.events)
     as_of = parse_timestamp(args.as_of)
+    if args.threshold_days < 0:
+        raise CliError(f"--threshold-days {args.threshold_days}: must be 0 or more")
     try:
         entries = unused_report(index, org, as_of, args.threshold_days)
     except OverflowError:  # the cutoff, as-of minus the threshold, is before year 1

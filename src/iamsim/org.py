@@ -5,7 +5,10 @@ org-wide single-sign-on users and groups, reusable permission sets, the
 subject/account/permission-set assignments that grant access, registered
 resources with optional resource-attached policies, and account-level
 resource shares. Everything is immutable; updates return new values so a
-baseline org can be compared against what-if variants cheaply.
+baseline org can be compared against what-if variants cheaply. Users and
+assignments, which a large org holds by the thousands, are named tuples of
+their fields; the other records are frozen dataclasses, so records of two
+kinds never compare equal.
 
 Permission-set resolution and share lookups read indices that each
 organization value builds lazily on first use, so later decisions do not
@@ -21,29 +24,36 @@ an unknown or missing field, an unparsable policy) aborts the build; all
 referential and invariant violations are then listed together.
 
 A record that holds every field of its kind, each of exactly the type
-:func:`json.loads` gives it, is read straight into its dataclass. Any other
+:func:`json.loads` gives it, is read straight into its record. Any other
 record, one that leaves a field to its default included, takes the full
 check of its field table, which fills in the defaults or names the first
 fault, so a malformed file gets the same messages whichever path its
 records take. Only that check formats a record's location, such as
-``users[3]``. Loading the benchmark's large org (5k users, 20k
-assignments) takes 58-73 ms in process, 11-14 ms of it in
-:func:`json.loads` (2-vCPU AMD EPYC VM, CPython 3.11.7).
+``users[3]``. :func:`load_scenario` pauses the cyclic garbage collector,
+process-wide, while it decodes and builds. Loading the benchmark's large
+org (5k users, 20k assignments) takes 72-87 ms in process, 14-19 ms of it
+in :func:`json.loads`; with the collector running and dataclass records it
+took 113-148 ms (2-vCPU Intel Xeon VM, CPython 3.11.7).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .policy import PolicyDocument, PolicyParseError, parse_policy, policy_to_obj
 from .textin import open_text, utf8_problem
 
 OuPath = Union[str, Sequence[str]]
+
+# builds a record of the fields build_org has already checked, without a call
+# through the record's own __new__
+_new_tuple = tuple.__new__
 
 
 class ScenarioError(ValueError):
@@ -74,8 +84,7 @@ class OrgUnit:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
-class SsoUser:
+class SsoUser(NamedTuple):
     """An org-wide principal; gains account access only through assignments."""
 
     id: str
@@ -97,8 +106,7 @@ class PermissionSet:
     policies: tuple[PolicyDocument, ...] = ()
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Grants one user or group the permission set's policies in one account."""
 
     subject_kind: str  # "user" | "group"
@@ -335,7 +343,7 @@ def build_org(scenario: dict) -> Organization:
         if not (type(u) is dict and u.keys() in _SHAPES["user"] and type(u["id"]) is str
                 and type(u["display_name"]) is str and _strings(u["groups"])):
             u = _record(u, "user", f"users[{i}]")
-        users.append(SsoUser(u["id"], u["display_name"], tuple(u["groups"])))
+        users.append(_new_tuple(SsoUser, (u["id"], u["display_name"], tuple(u["groups"]))))
 
     groups = []
     for i, g in enumerate(top["groups"]):
@@ -374,7 +382,8 @@ def build_org(scenario: dict) -> Organization:
             kind = "user" if a["group"] is None else "group"
         rows.append((a[kind], a["account"], a["permission_set"], kind))
     rows.sort()
-    assignments = [Assignment(kind, subject, account, ps) for subject, account, ps, kind in rows]
+    assignments = [_new_tuple(Assignment, (kind, subject, account, ps))
+                   for subject, account, ps, kind in rows]
 
     resources = []
     for i, r in enumerate(top["resources"]):
@@ -470,12 +479,11 @@ def validate_org(org: Organization) -> list[str]:
                         f"identity policies must not carry Principal"
                     )
 
-    seen_triples: set[tuple[str, str, str, str]] = set()
+    seen_assignments: set[Assignment] = set()
     for a in org.assignments:
-        kind, subject, account, ps = triple = (
-            a.subject_kind, a.subject, a.account, a.permission_set)
-        duplicate = triple in seen_triples
-        seen_triples.add(triple)
+        kind, subject, account, ps = a
+        duplicate = a in seen_assignments
+        seen_assignments.add(a)
         known = user_ids if kind == "user" else group_ids if kind == "group" else ()
         if duplicate or subject not in known or account not in seen_accounts or ps not in ps_ids:
             label = f"({kind} {subject}, account {account}, permission set {ps})"
@@ -535,11 +543,21 @@ def load_scenario(path) -> Organization:
     problem = utf8_problem(text, path)
     if problem:
         raise ScenarioError([problem])
+    # The load allocates about 120k containers, none of them in a reference
+    # cycle and all alive until the org is dropped, so a collection during it
+    # frees nothing; the cyclic collector is paused process-wide for the
+    # length of the load, and left off if it was off.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        scenario = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
-        raise ScenarioError([f"{path}: malformed JSON: {exc}"]) from exc
-    return build_org(scenario)
+        try:
+            scenario = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
+            raise ScenarioError([f"{path}: malformed JSON: {exc}"]) from exc
+        return build_org(scenario)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def export_scenario(org: Organization) -> dict:

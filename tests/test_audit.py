@@ -399,7 +399,9 @@ EVENT_BUILDERS = {
     "keyword": lambda fields: AuditEvent(**fields),
     "_make": lambda fields: AuditEvent._make(fields.values()),
     "_replace": lambda fields: make_event(random.Random(5))._replace(**fields),
-    "pickle": lambda fields: pickle.loads(pickle.dumps(_unchecked(fields))),
+    **{f"pickle-{protocol}":
+       lambda fields, protocol=protocol: pickle.loads(pickle.dumps(_unchecked(fields), protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
     "copy": lambda fields: copy.copy(_unchecked(fields)),
     "deepcopy": lambda fields: copy.deepcopy(_unchecked(fields)),
 }

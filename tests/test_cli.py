@@ -705,6 +705,12 @@ class TestFlagRanges:
         assert (code, out) == (2, "")
         assert err == f"--threshold-days {days}: reaches back before year 1 from --as-of {as_of}\n"
 
+    def test_negative_threshold_days_names_the_flag(self, run, sharing_scenario_path, tmp_path):
+        log = self._one_event_log(tmp_path, "2024-01-01T00:00:00Z")
+        code, out, err = run("--scenario", str(sharing_scenario_path), "analyze", "unused",
+                             str(log), "--as-of", "2024-06-01T00:00:00Z", "--threshold-days", "-5")
+        assert (code, out, err) == (2, "", "--threshold-days -5: must be 0 or more\n")
+
     @pytest.mark.parametrize("bucket, time, message", [
         ("99999999999999d", "2024-01-01T00:00:00Z",
          "longer than the longest duration, 999999999d"),

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import random
 
@@ -476,11 +477,16 @@ class TestFastPath:
         for path in rng.sample(paths, k=min(mutations, len(paths))):
             scenario = _mutate(scenario, path, rng)
         fast = self.outcome(scenario)
-        assert fast == self.outcome(scenario, fast=False)
+        full = self.outcome(scenario, fast=False)
+        assert fast == full
         if isinstance(fast, Organization):
             assert fast.assignments == tuple(sorted(
                 fast.assignments,
                 key=lambda a: (a.subject, a.account, a.permission_set, a.subject_kind)))
+            # records equal plain tuples of their fields, so == cannot tell them apart
+            for org in (fast, full):
+                assert all(type(a) is Assignment for a in org.assignments)
+                assert all(type(u) is SsoUser for u in org.users)
 
     @pytest.mark.parametrize("exported", [False, True])
     def test_every_field_change_agrees(self, demo_scenario_path, exported):
@@ -531,6 +537,47 @@ class TestFastPath:
         # only the scenario, the organization and the OUs, whose empty
         # lists an export leaves out, take the full check
         assert set(checked) <= {"scenario", "organization", "OU"}
+
+
+class TestLoadCollector:
+    """load_scenario pauses the cyclic collector for the build and leaves it
+    as the caller had it, whatever the load ends in."""
+
+    FILES = {
+        "good": json.dumps(minimal_scenario()).encode(),
+        # a management account the org does not hold: a violation found after the build
+        "scenario-error": b'{"organization": {"management_account": "1", "root": {"name": "R"}}}',
+        "malformed-json": b'{"organization": ',
+        "not-utf8": b"\xff\xfe{}\n",
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case", list(FILES))
+    def test_collector_state_is_restored(self, tmp_path, monkeypatch, case, enabled):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(self.FILES[case])
+        during = []
+        real = org_module.build_org
+
+        def recording(scenario):
+            during.append(gc.isenabled())
+            return real(scenario)
+
+        monkeypatch.setattr(org_module, "build_org", recording)
+        before = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            try:
+                org_module.load_scenario(path)
+                error = None
+            except ScenarioError as exc:
+                error = exc
+            after = gc.isenabled()
+        finally:
+            gc.enable() if before else gc.disable()
+        assert (error is None) == (case == "good")
+        assert after is enabled
+        assert during == ([False] if case in ("good", "scenario-error") else [])
 
 
 class TestProvision:
