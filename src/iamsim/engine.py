@@ -22,14 +22,15 @@ without registering everything.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .audit import AuditEvent, EventKind
 from .org import Organization, resolve_permission_set_ids, shares_covering
-from .policy import Effect, Statement, Verdict, condition_holds, split_action
+from .policy import Effect, PolicyDocument, Statement, Verdict, condition_holds, split_action
 
 # perfbench/tracer.py (its SITES table) patches action_matches, resource_matches
 # and condition_holds in this module and fails at install if one is missing.
@@ -146,18 +147,27 @@ def validate_request(org: Organization, request: AccessRequest) -> None:
         raise RequestError(f"unknown account: {request.account}")
 
 
-def _trace_statement(
-    side: str,
-    origin: str,
-    policy_name: str,
-    index: int,
-    stmt: Statement,
-    request: AccessRequest,
-) -> MatchTrace:
-    principal: bool | None = None
-    if side == "resource":
-        principals = stmt.principals or ()
-        principal = request.user in principals or request.account in principals
+def _covers(stmt: Statement, user: str, account: str) -> bool:
+    """True iff a resource statement's principals name ``user`` or ``account``."""
+    principals = stmt.principals or ()
+    return user in principals or account in principals
+
+
+def _resource_side(org: Organization, arn: str, account: str) -> tuple[PolicyDocument | None, bool, bool]:
+    """For a request from ``account`` on ``arn``: the attached policy, whether
+    it is same-account (an unregistered arn is), and, if it is not, whether
+    a share covers ``account``."""
+    resource = org.resources_by_arn.get(arn)
+    if resource is None:
+        return None, True, False
+    if account == resource.owner_account:
+        return resource.resource_policy, True, False
+    return resource.resource_policy, False, shares_covering(org, arn, account)
+
+
+def _trace_statement(side: str, origin: str, policy_name: str, index: int, stmt: Statement,
+                     request: AccessRequest) -> MatchTrace:
+    principal = _covers(stmt, request.user, request.account) if side == "resource" else None
     return MatchTrace(
         side,
         origin,
@@ -182,20 +192,20 @@ def authorize(org: Organization, request: AccessRequest) -> Decision:
             for index, stmt in enumerate(policy.statements):
                 trace.append(_trace_statement("identity", ps_id, policy.name, index, stmt, request))
 
-    resource = org.resources_by_arn.get(request.resource)
-    if resource is not None and resource.resource_policy is not None:
-        policy = resource.resource_policy
+    policy, same_account, shared = _resource_side(org, request.resource, request.account)
+    if policy is not None:
         for index, stmt in enumerate(policy.statements):
-            trace.append(_trace_statement("resource", resource.arn, policy.name, index, stmt, request))
+            trace.append(_trace_statement("resource", request.resource, policy.name, index, stmt, request))
 
-    reason, _ = _judge(org, request, trace)
+    reason, _ = _judge(trace, same_account, shared)
     verdict = Verdict.ALLOW if reason in _ALLOW_REASONS else Verdict.DENY
     return Decision(verdict, reason, tuple(trace))
 
 
-def _judge(org: Organization, request: AccessRequest, trace: Sequence[MatchTrace]) -> tuple[Reason, str]:
-    """Apply the four rules of the module docstring to a complete trace,
-    returning the reason and the sentence that explains it."""
+def _judge(trace: Sequence[MatchTrace], same_account: bool, shared: bool) -> tuple[Reason, str]:
+    """Apply the four rules of the module docstring to a complete trace and
+    the facts of :func:`_resource_side`, returning the reason and the
+    sentence that explains it."""
     identity_allow = resource_allow = False
     for t in trace:
         if t.matched:
@@ -205,14 +215,12 @@ def _judge(org: Organization, request: AccessRequest, trace: Sequence[MatchTrace
                 identity_allow = True
             else:
                 resource_allow = True
-    resource = org.resources_by_arn.get(request.resource)
-    if resource is None or request.account == resource.owner_account:
+    if same_account:
         if identity_allow or resource_allow:
             return (Reason.SAME_ACCOUNT_ALLOW,
                     "same-account request: a matching Allow statement grants access")
         return (Reason.IMPLICIT_DENY,
                 "same-account request: no matching Allow statement; denied by default")
-    shared = shares_covering(org, request.resource, request.account)
     if identity_allow and (resource_allow or shared):
         return (Reason.CROSS_ACCOUNT_ALLOW,
                 "cross-account request: identity Allow and resource-side grant both present")
@@ -221,6 +229,43 @@ def _judge(org: Organization, request: AccessRequest, trace: Sequence[MatchTrace
                 "cross-account request: identity Allow matched but the resource side "
                 "grants nothing (no matching resource Allow, no share); denied by default")
     return Reason.IMPLICIT_DENY, "cross-account request: no matching identity Allow; denied by default"
+
+
+def resource_classes(org: Organization, user: str, account: str) -> Callable[[str], Hashable]:
+    """A memoized map from an arn to its class for context-free requests by
+    ``user`` acting in ``account``: two arns of one class get one verdict for
+    every action. The class holds what :func:`authorize` reads of the arn:
+    :func:`_resource_side`'s two bits, the identity statements whose
+    resources match it, and the ``(effect, actions)`` of each statement of
+    its policy that admits the request. An arn ``validate_request`` refuses
+    is a class of its own, and so is every arn of a principal that does not
+    resolve, so the pair that fails is still authorized alone."""
+    try:
+        identity = [
+            stmt
+            for ps_id in resolve_permission_set_ids(org, user, account)
+            for policy in org.permission_set(ps_id).policies
+            for stmt in policy.statements
+        ]
+    except LookupError:
+        return str
+
+    def key_of(arn: str) -> Hashable:
+        if not concrete_arn(arn):
+            return arn
+        policy, same_account, shared = _resource_side(org, arn, account)
+        return (
+            same_account,
+            shared,
+            tuple(i for i, stmt in enumerate(identity) if stmt.resource_match(arn)),
+            () if policy is None else tuple(
+                (stmt.effect, stmt.actions) for stmt in policy.statements
+                if stmt.resource_match(arn) and _covers(stmt, user, account)
+                and condition_holds(stmt.condition, {})
+            ),
+        )
+
+    return functools.cache(key_of)
 
 
 def simulate(
@@ -256,17 +301,15 @@ def simulate(
     return decisions
 
 
-def _yn(value: bool | None) -> str:
-    if value is None:
-        return "-"
-    return "yes" if value else "no"
+_YN = {None: "-", True: "yes", False: "no"}
 
 
 def render_trace(org: Organization, request: AccessRequest, decision: Decision) -> str:
     """Deterministic human-readable account of a decision."""
+    _, same_account, shared = _resource_side(org, request.resource, request.account)
     lines = [
         f"decision: {decision.verdict.value} ({decision.reason.value})",
-        f"rule: {_judge(org, request, decision.trace)[1]}",
+        f"rule: {_judge(decision.trace, same_account, shared)[1]}",
         "trace:",
     ]
     if not decision.trace:
@@ -275,9 +318,9 @@ def render_trace(org: Organization, request: AccessRequest, decision: Decision) 
         status = "matched" if t.matched else "no match"
         lines.append(
             f"  [{t.side}] {t.origin} policy={t.policy} statement={t.statement_index} "
-            f"effect={t.effect.value} action={_yn(t.action_match)} "
-            f"resource={_yn(t.resource_match)} condition={_yn(t.condition_match)} "
-            f"principal={_yn(t.principal_match)} -> {status}"
+            f"effect={t.effect.value} action={_YN[t.action_match]} "
+            f"resource={_YN[t.resource_match]} condition={_YN[t.condition_match]} "
+            f"principal={_YN[t.principal_match]} -> {status}"
         )
     return "\n".join(lines)
 

@@ -7,34 +7,20 @@ least-privilege policies from a principal's observed activity at a chosen
 specificity level. Generated policies are replay-verified: every
 generating observation must re-authorize, and a sampled complement of
 unobserved pairs quantifies how much extra room the policy leaves.
-
-Replay decides the complement sample by resource class. For the fixed
-replay principal, an arn's class is the set of facts about it that
-``authorize`` reads: whether the principal's account owns it, whether a
-share covers that account, which identity statements' resource patterns
-match it, and which statements of its own policy apply to the principal
-under the empty context that replay requests carry. ``authorize`` is called
-once per sampled ``(action, class)``, on the first pair that reaches it,
-and every other pair of that action and class takes its verdict. So the
-sample, the counts and the verdicts are those of one call per pair, and
-the decision rules stay stated once, in the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import filterfalse, product
-from typing import Callable, Hashable
+from typing import Hashable
 
 from .audit import EventKind, format_timestamp
-from .engine import AccessRequest, RequestError, authorize, concrete_arn
-from .org import (
-    Assignment, Organization, PermissionSet, resolve_permission_set_ids, shares_covering,
-)
+from .engine import AccessRequest, RequestError, authorize, resource_classes
+from .org import Assignment, Organization, PermissionSet
 from .policy import (
     ActionLevel,
     ActionPattern,
@@ -44,7 +30,6 @@ from .policy import (
     Statement,
     Verdict,
     VerbTable,
-    condition_holds,
     generalize_action,
     policy_to_obj,
 )
@@ -225,10 +210,11 @@ def install_sole_permission_set(
     """What-if org where ``document`` is the user's only grant in ``account``.
 
     Every assignment that reached the (user, account) pair, directly or via
-    a group, is dropped. A fresh permission set holding the document, and a
-    user-level assignment of it, are appended after the parent's permission
-    sets and remaining assignments, which keep the parent's order. Resources,
-    shares and other principals' grants are untouched.
+    a group, is dropped, so every other member of such a group loses that
+    permission set in ``account`` too: the org is fit for deciding this
+    principal's requests only. A fresh permission set holding the document,
+    and a user-level assignment of it, are appended after the parent's
+    permission sets and remaining assignments, which keep the parent's order.
     """
     member_of = set(org.user(user).groups)
     ps_id = "generated-replay"
@@ -259,13 +245,14 @@ def replay_verify(
     ``org`` should already carry the generated policy as the principal's
     sole permission set (see :func:`install_sole_permission_set`). A pair
     is authorized only when it is the first of its action and resource
-    class (see :func:`_resource_classes`); every later pair of the same
-    action and class takes that verdict, which ``authorize`` would give it
-    again. The observed pairs are decided first, in sorted order, then the
-    sample in its own order.
+    class (see :func:`iamsim.engine.resource_classes`); every later pair of
+    that action and class takes that verdict, which ``authorize`` would give
+    it again. So the counts and verdicts are those of one call per pair. The
+    observed pairs are decided first, in sorted order, then the sample in
+    its own order.
     """
     user, account = principal
-    class_of = _resource_classes(org, user, account)
+    class_of = resource_classes(org, user, account)
     verdicts: dict[tuple[str, Hashable], bool] = {}
 
     def allowed(action: str, resource: str) -> bool:
@@ -290,53 +277,6 @@ def replay_verify(
         sampled=sampled,
         excess_allowed=excess_allowed,
     )
-
-
-def _resource_classes(org: Organization, user: str, account: str) -> Callable[[str], Hashable]:
-    """A memoized map from an arn to its class for requests by ``user``
-    acting in ``account`` with the empty context replay requests carry.
-
-    Two arns of one class get the same verdict for every action, because
-    the class holds every fact about the arn that ``authorize`` reads: the
-    owner test, the share test, which identity statements' resource
-    patterns match it, and the ``(effect, actions)`` of each statement of
-    its own policy whose resources, principals and condition admit the
-    request. An arn that ``validate_request`` refuses is a class of its
-    own, and so is every arn when the principal does not resolve, so the
-    pair that fails is still authorized, and fails as it would alone.
-    """
-    try:
-        identity = [
-            stmt
-            for ps_id in resolve_permission_set_ids(org, user, account)
-            for policy in org.permission_set(ps_id).policies
-            for stmt in policy.statements
-        ]
-    except LookupError:
-        return str
-    empty_context: dict[str, str] = {}
-
-    def admits(stmt: Statement, arn: str) -> bool:
-        principals = stmt.principals or ()
-        return (stmt.resource_match(arn)
-                and (user in principals or account in principals)
-                and condition_holds(stmt.condition, empty_context))
-
-    def key_of(arn: str) -> Hashable:
-        if not concrete_arn(arn):
-            return arn
-        resource = org.resources_by_arn.get(arn)
-        policy = None if resource is None else resource.resource_policy
-        return (
-            resource is None or resource.owner_account == account,
-            shares_covering(org, arn, account),
-            tuple(i for i, stmt in enumerate(identity) if stmt.resource_match(arn)),
-            () if policy is None else tuple(
-                (stmt.effect, stmt.actions) for stmt in policy.statements if admits(stmt, arn)
-            ),
-        )
-
-    return functools.cache(key_of)
 
 
 def complement_sample(

@@ -98,13 +98,19 @@ class TestValidate:
     def test_unexpected_error_is_one_line_and_exit_two(
         self, run, demo_scenario_path, monkeypatch
     ):
-        def broken(args):
-            raise TypeError("unsupported operand\nsecond line")
+        # no command raises a LookupError for bad input, so a KeyError is a fault
+        for error, message in [
+            (TypeError("unsupported operand\nsecond line"),
+             "TypeError('unsupported operand\\nsecond line')"),
+            (KeyError("x"), "KeyError('x')"),
+        ]:
+            def broken(args, error=error):
+                raise error
 
-        monkeypatch.setattr(cli, "cmd_validate", broken)
-        code, out, err = run("--scenario", str(demo_scenario_path), "validate")
-        assert (code, out) == (2, "")
-        assert err == "internal error: TypeError('unsupported operand\\nsecond line')\n"
+            monkeypatch.setattr(cli, "cmd_validate", broken)
+            code, out, err = run("--scenario", str(demo_scenario_path), "validate")
+            assert (code, out) == (2, "")
+            assert err == f"internal error: {message}\n"
 
     def test_missing_file_is_io_failure(self, run, tmp_path):
         code, _, err = run("--scenario", str(tmp_path / "nope.json"), "validate")
@@ -604,6 +610,23 @@ class TestAudit:
         _, qout, _ = run("--format", "json", "audit", "query", str(out_path),
                          "--verdict", "Deny")
         assert len(qout.splitlines()) == 2
+
+    def test_text_output_keeps_one_event_on_one_line(self, run, tmp_path):
+        """A value holding a newline cannot forge a second event: text output
+        JSON-quotes any value with a control character, ``"`` or ``\\``."""
+        forged = ("eve\n2024-01-01T00:00:01Z Login user=admin account=111111111111 "
+                  "action=- resource=- verdict=Allow source=111111111111")
+        log = _account_log(tmp_path, "111111111111", [AuditEvent(
+            time=utc(2024, 1, 1), kind=EventKind.LOGIN, user=forged,
+            account="111111111111", verdict=Verdict.DENY,
+        )])
+        shown = json.dumps(forged)
+        code, out, _ = run("audit", "query", str(log))
+        assert (code, out) == (0, f"2024-01-01T00:00:00Z Login user={shown} account=111111111111 "
+                                  "action=- resource=- verdict=Deny source=111111111111\n")
+        code, out, _ = run("audit", "denied-summary", str(log), "--bucket", "1h")
+        assert (code, out) == (0, f"2024-01-01T00:00:00Z user={shown} account=111111111111 "
+                                  "denies=1\n")
 
     def test_bad_bucket_duration(self, run, tmp_path):
         a, _, _ = self._logs(tmp_path)
@@ -1154,10 +1177,10 @@ sys.exit(cli.main(sys.argv[1:]))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _child(code: str, argv, cwd) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+def _child(code: str, argv, cwd, stdout=subprocess.PIPE, environ=os.environ) -> subprocess.Popen:
+    env = {**environ, "PYTHONPATH": _SRC + os.pathsep + environ.get("PYTHONPATH", "")}
     return subprocess.Popen([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=subprocess.PIPE)
 
 
 def _write_logs(directory, n_logs: int, n_events: int) -> list[str]:
@@ -1256,3 +1279,55 @@ def test_merge_under_a_low_open_file_limit(tmp_path, n_logs, held):
     out, err = child.communicate(timeout=60)
     assert (child.returncode, out.decode(), err.decode()) == expected and expected[0] == 0
     assert (tmp_path / "archive.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+# runs the CLI as the installed iamsim command does
+_CLI = """
+import sys
+from iamsim import cli
+
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestStdoutFailures:
+    """A write to stdout that fails, on a full device or into a pipe whose
+    reader has gone, exits 3 with one line on stderr, whether or not stdout
+    is buffered, and nothing fails again at interpreter exit."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, into", [
+        (["audit", "query", "log.jsonl"], "/dev/full"),
+        (["--scenario", "scenario.json", "validate"], "/dev/full"),
+        (["--scenario", "scenario.json", "authorize", "--user", "user-3",
+          "--account", "333333333333", "--action", "s3:GetObject",
+          "--resource", "arn:aws:s3:::bucket-s"], "/dev/full"),
+        (["--format", "json", "audit", "query", "log.jsonl", "--kind", "ApiCall"], "closed pipe"),
+    ], ids=["query-text", "validate", "authorize-allowed", "query-json-pipe"])
+    def test_exits_three_with_one_line(self, tmp_path, sharing_scenario_path, argv, into,
+                                       unbuffered):
+        (tmp_path / "scenario.json").write_bytes(sharing_scenario_path.read_bytes())
+        # more text than one buffer holds, so a buffered write fails before the flush
+        write_archive(archive_from_events(
+            AuditEvent(time=utc(2024, 1, 1) + timedelta(seconds=i), kind=EventKind.API_CALL,
+                       user="ana", account="111111111111", action="s3:GetObject",
+                       resource=f"arn:aws:s3:::bkt/{i}", verdict=Verdict.ALLOW)
+            for i in range(500)
+        ), tmp_path / "log.jsonl")
+        environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            environ["PYTHONUNBUFFERED"] = "1"
+        if into == "/dev/full":
+            stdout = os.open(into, os.O_WRONLY)
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+        try:
+            child = _child(_CLI, argv, tmp_path, stdout=stdout, environ=environ)
+        finally:
+            os.close(stdout)
+        _, err = child.communicate(timeout=60)
+        err = err.decode()
+        assert child.returncode == 3, err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err and "Exception ignored" not in err

@@ -1,9 +1,11 @@
 """Usage indexing, unused-statement reporting and policy generation."""
 
+import ast
 import dataclasses
 import random
 import re
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from iamsim import (
     unused_report,
 )
 from iamsim import usage
+from iamsim.org import resolve_permission_set_ids
 from iamsim.usage import (
     complement_sample,
     install_sole_permission_set,
@@ -384,6 +387,29 @@ class TestReplay:
                                                  level, GEN_WINDOW)
             assert generated.verification.coverage == 1.0
 
+    def test_sole_permission_set_drops_group_grants_for_every_member(self):
+        """The what-if org fits only the principal's own requests: ana's
+        group assignment is dropped, so bob, in the same group, loses it in
+        that account too, and keeps the grant it holds in another account."""
+        other = "777700000002"
+        scenario = generation_scenario()
+        scenario["organization"]["root"]["accounts"].append({"id": other, "name": "other"})
+        scenario["groups"] = [{"id": "team"}]
+        scenario["users"] = [{"id": "ana", "groups": ["team"]}, {"id": "bob", "groups": ["team"]}]
+        scenario["assignments"] = [
+            {"group": "team", "account": ACCT, "permission_set": "s3-rw"},
+            {"group": "team", "account": other, "permission_set": "s3-rw"},
+        ]
+        org = build_org(scenario)
+        document = generate_least_privilege(build_usage_index(org, [
+            api_event(utc(2024, 1, 1, 0, 0), "ana", "s3:GetObject", BKT_X),
+        ]), ("ana", ACCT), 4, GEN_WINDOW).document
+        what_if = install_sole_permission_set(org, "ana", ACCT, document)
+        assert resolve_permission_set_ids(what_if, "ana", ACCT) == ("generated-replay",)
+        assert resolve_permission_set_ids(org, "bob", ACCT) == ("s3-rw",)
+        assert resolve_permission_set_ids(what_if, "bob", ACCT) == ()
+        assert resolve_permission_set_ids(what_if, "bob", other) == ("s3-rw",)
+
 
 def per_pair_verify(org, principal, observed_pairs, sample) -> VerificationResult:
     """The reference for class replay: one ``authorize`` call per pair."""
@@ -580,3 +606,12 @@ class TestComplementSample:
             patch.setattr(usage, "DEFAULT_SAMPLE_CAP", cap)
             assert complement_sample(index, observed, sample_seed) == \
                 list_sample(index, observed, sample_seed)
+
+
+def test_usage_imports_no_decision_rule():
+    """Replay's class key reads the engine's facts; usage.py must not import
+    what it would need to state the owner, share or condition rules again."""
+    tree = ast.parse(Path(usage.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported & {"resolve_permission_set_ids", "shares_covering", "condition_holds"} == set()
