@@ -44,7 +44,7 @@ from .atomic import replacing
 from .engine import AccessRequest, RequestError, authorize, decision_to_obj, render_trace, simulate
 from .org import Organization, ScenarioError, load_scenario
 from .policy import PolicyParseError, Verdict, VerbTable, serialize_policy
-from .textin import open_text, utf8_problem
+from .textin import open_text, shown, utf8_problem
 from .usage import (
     DEFAULT_SAMPLE_SEED,
     UsageError,
@@ -58,7 +58,6 @@ from .usage import (
 
 _REQUEST_KEYS = frozenset({"user", "account", "action", "resource", "context"})
 
-_QUOTED_RE = re.compile(r'[\x00-\x1f"\\]')
 _BUCKET_RE = re.compile(r"([0-9]+)([smhd])\Z")
 _BUCKET_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 
@@ -160,12 +159,6 @@ def _check_out_paths(paths: dict[str, str | None]) -> None:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _shown(value: str) -> str:
-    """A log value in a text report, JSON-quoted when it holds a control
-    character, ``"`` or ``\\``, so that one event stays one line."""
-    return json.dumps(value, ensure_ascii=False) if _QUOTED_RE.search(value) else value
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
@@ -314,9 +307,9 @@ def cmd_audit_query(args: argparse.Namespace) -> tuple[int, str]:
     if args.fmt == "json":
         return EXIT_OK, "".join([e.line or event_to_line(e) for e in hits])
     lines = [
-        f"{format_timestamp(e.time)} {e.kind.value} user={_shown(e.user)} "
-        f"account={_shown(e.account)} action={_shown(e.action) or '-'} "
-        f"resource={_shown(e.resource) or '-'} verdict={e.verdict.value} source={_shown(e.source)}"
+        f"{format_timestamp(e.time)} {e.kind.value} user={shown(e.user)} "
+        f"account={shown(e.account)} action={shown(e.action) or '-'} "
+        f"resource={shown(e.resource) or '-'} verdict={e.verdict.value} source={shown(e.source)}"
         for e in hits
     ]
     return EXIT_OK, "".join(line + "\n" for line in lines)
@@ -343,8 +336,8 @@ def cmd_audit_denied(args: argparse.Namespace) -> tuple[int, str]:
         ]
         return EXIT_OK, _dumps(objs) + "\n"
     lines = [
-        f"{format_timestamp(c.bucket_start)} user={_shown(c.user)} "
-        f"account={_shown(c.account)} denies={c.count}"
+        f"{format_timestamp(c.bucket_start)} user={shown(c.user)} "
+        f"account={shown(c.account)} denies={c.count}"
         for c in cells
     ]
     body = "".join(line + "\n" for line in lines) if lines else "no denied requests\n"
@@ -426,14 +419,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, body = args.func(args)
-        try:
-            sys.stdout.write(body)
-            sys.stdout.flush()
-        except OSError:  # point fd 1 at the null device, so that the flush at exit cannot fail again
-            with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-            raise
+        if body:
+            if sys.stdout is None:  # Python started with fd 1 closed
+                raise OSError("cannot write the output: stdout is closed")
+            try:
+                sys.stdout.write(body)
+                sys.stdout.flush()
+            except OSError:  # point fd 1 at the null device, so that the flush at exit cannot fail again
+                with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
+                    fd = sys.stdout.fileno()
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+                raise
     except ScenarioError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)

@@ -31,6 +31,7 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 from .audit import AuditEvent, EventKind
 from .org import Organization, resolve_permission_set_ids, shares_covering
 from .policy import Effect, PolicyDocument, Statement, Verdict, condition_holds, split_action
+from .textin import shown
 
 # perfbench/tracer.py (its SITES table) patches action_matches, resource_matches
 # and condition_holds in this module and fails at install if one is missing.
@@ -182,21 +183,28 @@ def _trace_statement(side: str, origin: str, policy_name: str, index: int, stmt:
     )
 
 
+def _identity(org: Organization, user: str, account: str) -> list[tuple[str, PolicyDocument]]:
+    """The ``(permission-set id, policy)`` pairs reaching ``user`` in ``account``,
+    in trace order; :class:`LookupError` if the principal does not resolve."""
+    return [(ps_id, policy) for ps_id in resolve_permission_set_ids(org, user, account)
+            for policy in org.permission_set(ps_id).policies]
+
+
+def identity_trace(org: Organization, request: AccessRequest) -> list[MatchTrace]:
+    """Validate ``request`` and trace its identity statements, as :func:`authorize` does first."""
+    validate_request(org, request)
+    return [_trace_statement("identity", ps_id, policy.name, index, stmt, request)
+            for ps_id, policy in _identity(org, request.user, request.account)
+            for index, stmt in enumerate(policy.statements)]
+
+
 def authorize(org: Organization, request: AccessRequest) -> Decision:
     """Decide one request, returning the verdict, reason and full trace."""
-    validate_request(org, request)
-
-    trace: list[MatchTrace] = []
-    for ps_id in resolve_permission_set_ids(org, request.user, request.account):
-        for policy in org.permission_set(ps_id).policies:
-            for index, stmt in enumerate(policy.statements):
-                trace.append(_trace_statement("identity", ps_id, policy.name, index, stmt, request))
-
+    trace = identity_trace(org, request)
     policy, same_account, shared = _resource_side(org, request.resource, request.account)
     if policy is not None:
         for index, stmt in enumerate(policy.statements):
             trace.append(_trace_statement("resource", request.resource, policy.name, index, stmt, request))
-
     reason, _ = _judge(trace, same_account, shared)
     verdict = Verdict.ALLOW if reason in _ALLOW_REASONS else Verdict.DENY
     return Decision(verdict, reason, tuple(trace))
@@ -241,12 +249,7 @@ def resource_classes(org: Organization, user: str, account: str) -> Callable[[st
     is a class of its own, and so is every arn of a principal that does not
     resolve, so the pair that fails is still authorized alone."""
     try:
-        identity = [
-            stmt
-            for ps_id in resolve_permission_set_ids(org, user, account)
-            for policy in org.permission_set(ps_id).policies
-            for stmt in policy.statements
-        ]
+        identity = [stmt for _, policy in _identity(org, user, account) for stmt in policy.statements]
     except LookupError:
         return str
 
@@ -317,7 +320,7 @@ def render_trace(org: Organization, request: AccessRequest, decision: Decision) 
     for t in decision.trace:
         status = "matched" if t.matched else "no match"
         lines.append(
-            f"  [{t.side}] {t.origin} policy={t.policy} statement={t.statement_index} "
+            f"  [{t.side}] {shown(t.origin)} policy={shown(t.policy)} statement={t.statement_index} "
             f"effect={t.effect.value} action={_YN[t.action_match]} "
             f"resource={_YN[t.resource_match]} condition={_YN[t.condition_match]} "
             f"principal={_YN[t.principal_match]} -> {status}"

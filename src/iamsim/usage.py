@@ -19,7 +19,7 @@ from itertools import filterfalse, product
 from typing import Hashable
 
 from .audit import EventKind, format_timestamp
-from .engine import AccessRequest, RequestError, authorize, resource_classes
+from .engine import AccessRequest, RequestError, authorize, identity_trace, resource_classes
 from .org import Assignment, Organization, PermissionSet
 from .policy import (
     ActionLevel,
@@ -33,6 +33,7 @@ from .policy import (
     generalize_action,
     policy_to_obj,
 )
+from .textin import shown
 
 DEFAULT_SAMPLE_SEED = 1729
 DEFAULT_SAMPLE_CAP = 10_000
@@ -74,11 +75,11 @@ class UsageIndex:
 def build_usage_index(org: Organization, events) -> UsageIndex:
     """Fold a time-ordered event stream into a usage index.
 
-    For each allowed API call the decision is re-derived against ``org``
-    and every identity-side Allow statement that matched is credited with
-    the event time. Events carry no request context, so statements gated
-    on conditions are never credited. Login and Deny events contribute
-    nothing.
+    Each allowed API call credits, with its time, every identity Allow
+    statement of its principal that matches it in ``org``, whatever the
+    resource side decides. Events carry no request context, so statements
+    gated on conditions are never credited. Login and Deny events
+    contribute nothing.
     """
     index = UsageIndex(org=org)
     last_time: datetime | None = None
@@ -92,14 +93,12 @@ def build_usage_index(org: Organization, events) -> UsageIndex:
         if event.kind is not EventKind.API_CALL or event.verdict is not Verdict.ALLOW:
             continue
         try:
-            decision = authorize(org, AccessRequest(
-                user=event.user, account=event.account,
-                action=event.action, resource=event.resource,
-            ))
+            trace = identity_trace(org, AccessRequest(
+                user=event.user, account=event.account, action=event.action, resource=event.resource))
         except RequestError as exc:
             raise UsageError(f"event {i}: {exc}") from exc
-        for t in decision.trace:
-            if t.side == "identity" and t.effect is Effect.ALLOW and t.matched:
+        for t in trace:
+            if t.effect is Effect.ALLOW and t.matched:
                 index.statement_last_used[(t.origin, t.policy, t.statement_index)] = event.time
         index.observations.setdefault((event.user, event.account), set()).add(
             (event.action, event.resource, event.time)
@@ -160,7 +159,7 @@ def render_unused_report(entries: list[UnusedEntry]) -> str:
         return "no unused statements"
     rows = [("PERMISSION-SET", "POLICY", "STMT", "LAST-USED")]
     rows += [
-        (e.permission_set, e.policy, str(e.statement_index),
+        (shown(e.permission_set), shown(e.policy), str(e.statement_index),
          "never" if e.last_used is None else format_timestamp(e.last_used))
         for e in entries
     ]

@@ -476,6 +476,51 @@ class TestAnalyze:
         assert err == f"{table}:2: not UTF-8: byte 0xe9\n"
 
 
+class TestScenarioIdsInText:
+    """A scenario id holding a newline cannot forge a row of ``analyze
+    unused`` or a statement line of ``authorize --explain``: text output
+    JSON-quotes it, as the audit reports quote a log value."""
+
+    PS = "bucket-s-reader\nFORGED never"
+    POLICY = "bucket-s-read\nFORGED policy"
+
+    def _scenario(self, sharing_scenario_path, tmp_path):
+        scenario = json.loads(sharing_scenario_path.read_text(encoding="utf-8"))
+        scenario["permission_sets"][0]["id"] = self.PS
+        scenario["permission_sets"][0]["policies"][0]["name"] = self.POLICY
+        for assignment in scenario["assignments"]:
+            assignment["permission_set"] = self.PS
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        return path
+
+    def test_unused_report_prints_one_line_per_row(self, run, sharing_scenario_path, tmp_path):
+        scenario = self._scenario(sharing_scenario_path, tmp_path)
+        log = tmp_path / "empty.jsonl"
+        log.write_text("", encoding="utf-8")
+        argv = ["--scenario", str(scenario), "analyze", "unused", str(log),
+                "--as-of", "2024-06-01T00:00:00Z", "--threshold-days", "90"]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert header.startswith("PERMISSION-SET") and len(rows) == 1
+        assert re.fullmatch(rf"{re.escape(json.dumps(self.PS))} +{re.escape(json.dumps(self.POLICY))}"
+                            r" +0 +never", rows[0])
+        code, out, _ = run("--format", "json", *argv)  # JSON keeps the ids as they are
+        assert (code, json.loads(out)[0]["permission_set"]) == (0, self.PS)
+
+    def test_explain_prints_one_line_per_statement(self, run, sharing_scenario_path, tmp_path):
+        scenario = self._scenario(sharing_scenario_path, tmp_path)
+        code, out, _ = run("--scenario", str(scenario), "authorize", "--user", "user-3",
+                           "--account", "333333333333", "--action", "s3:GetObject",
+                           "--resource", "arn:aws:s3:::bucket-s", "--explain")
+        lines = out.splitlines()
+        assert code == 0 and lines[2] == "trace:" and len(lines) == 3 + 2
+        assert lines[3].startswith(
+            f"  [identity] {json.dumps(self.PS)} policy={json.dumps(self.POLICY)} statement=0 ")
+        assert lines[4].startswith("  [resource] arn:aws:s3:::bucket-s policy=")
+
+
 class TestDeepJson:
     """JSON nested past the decoder's depth is malformed input, reported
     naming the file (and line) like any other decode error."""
@@ -1294,6 +1339,31 @@ class TestStdoutFailures:
     """A write to stdout that fails, on a full device or into a pipe whose
     reader has gone, exits 3 with one line on stderr, whether or not stdout
     is buffered, and nothing fails again at interpreter exit."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--scenario", "scenario.json", "validate"], 3),
+        (["--scenario", "scenario.json", "simulate", "requests.jsonl", "--out", "out.jsonl"], 0),
+    ], ids=["validate", "simulate-out"])
+    def test_closed_stdout(self, run, tmp_path, sharing_scenario_path, argv, code):
+        """Started with fd 1 closed, Python has no ``sys.stdout``: a command
+        with output exits 3 with one line, and one that prints nothing runs
+        as usual."""
+        (tmp_path / "scenario.json").write_bytes(sharing_scenario_path.read_bytes())
+        requests = sharing_scenario_path.with_name("sharing-demo-requests.jsonl")
+        (tmp_path / "requests.jsonl").write_bytes(requests.read_bytes())
+        env = {**os.environ, "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        child = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-c", _CLI, *argv],
+                               cwd=tmp_path, env=env, stderr=subprocess.PIPE, timeout=60)
+        err = child.stderr.decode()
+        assert child.returncode == code, err
+        if code == 3:
+            assert err == "cannot write the output: stdout is closed\n"
+            return
+        assert err == ""
+        _, out, _ = run("--scenario", str(tmp_path / "scenario.json"), "simulate",
+                        str(tmp_path / "requests.jsonl"))
+        assert out.count("\n") == 3
+        assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == out
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, into", [

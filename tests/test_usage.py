@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import random
 import re
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from iamsim import (
     AccessRequest,
     ActionLevel,
     AuditEvent,
+    Effect,
     EventKind,
     RequestError,
     UsageError,
@@ -28,7 +30,7 @@ from iamsim import (
     replay_verify,
     unused_report,
 )
-from iamsim import usage
+from iamsim import engine, usage
 from iamsim.org import resolve_permission_set_ids
 from iamsim.usage import (
     complement_sample,
@@ -438,10 +440,9 @@ def outcome(verify, *args):
         return type(exc), str(exc)
 
 
-def activity_index(rng: random.Random):
-    """A random org (Deny statements, conditions on both sides, resource
-    policies naming users and accounts, shares) and the usage index of its
-    allowed context-free requests, unregistered resources included.
+def activity_org(rng: random.Random):
+    """A random org: Deny statements, conditions on both sides, resource
+    policies naming users and accounts, and shares.
 
     Besides the generators' three buckets it registers eight objects whose
     policies draw effects, actions and resource patterns from small pools,
@@ -469,7 +470,13 @@ def activity_index(rng: random.Random):
         for stmt in resource.get("resource_policy", {}).get("Statement", []):
             if rng.random() < 0.3:
                 stmt["Condition"] = rng.choice(CONDITIONS)
-    org = build_org(scenario)
+    return build_org(scenario)
+
+
+def activity_index(rng: random.Random):
+    """An :func:`activity_org` and the usage index of its allowed
+    context-free requests, unregistered resources included."""
+    org = activity_org(rng)
     events = []
     for i in range(80):
         request = dataclasses.replace(random_request(rng, org), context={})
@@ -477,6 +484,108 @@ def activity_index(rng: random.Random):
             events.append(api_event(utc(2024, 1, 1) + timedelta(seconds=i), request.user,
                                     request.action, request.resource, account=request.account))
     return build_usage_index(org, events)
+
+
+def reference_last_used(org, events):
+    """The index credit restated on full decisions: each call logged Allow
+    credits the identity Allow traces of ``authorize(...).trace`` that
+    matched; a call ``authorize`` refuses gives the ``UsageError`` text."""
+    last_used = {}
+    for i, event in enumerate(events):
+        if event.kind is not EventKind.API_CALL or event.verdict is not Verdict.ALLOW:
+            continue
+        try:
+            decision = authorize(org, AccessRequest(user=event.user, account=event.account,
+                                                    action=event.action, resource=event.resource))
+        except RequestError as exc:
+            return UsageError, f"event {i}: {exc}"
+        for t in decision.trace:
+            if t.side == "identity" and t.effect is Effect.ALLOW and t.matched:
+                last_used[(t.origin, t.policy, t.statement_index)] = event.time
+    return last_used
+
+
+def index_credit(org, events):
+    """``build_usage_index``'s statement credit, or the ``UsageError`` text."""
+    try:
+        return build_usage_index(org, events).statement_last_used
+    except UsageError as exc:
+        return UsageError, str(exc)
+
+
+def logged_activity(rng: random.Random, org, n: int = 120) -> list:
+    """Random context-free calls, most logged Allow whatever ``authorize``
+    gives them, and a few logins."""
+    events = []
+    for i in range(n):
+        when = utc(2024, 1, 1) + timedelta(seconds=i)
+        request = random_request(rng, org)
+        if rng.random() < 0.05:
+            events.append(AuditEvent(time=when, kind=EventKind.LOGIN, user=request.user,
+                                     account=request.account, verdict=Verdict.ALLOW))
+            continue
+        verdict = Verdict.DENY if rng.random() < 0.2 else Verdict.ALLOW
+        events.append(api_event(when, request.user, request.action, request.resource,
+                                verdict=verdict, account=request.account))
+    return events
+
+
+class TestIndexCredit:
+    """The usage index credits a statement from the identity trace alone; it
+    must credit what a full decision's matched identity Allow traces do,
+    also where the log says Allow and the org now says Deny."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_reference_fold(self, seed):
+        rng = random.Random(seed)
+        org = activity_org(rng)
+        events = logged_activity(rng, org)
+        assert index_credit(org, events) == reference_last_used(org, events)
+
+    def test_credits_allowed_calls_the_org_denies(self):
+        """The logs hold calls logged Allow that the org denies although an
+        identity Allow matched: by a resource-side Deny, or across accounts
+        with no resource-side grant. Both are credited like any other."""
+        denied = Counter()
+        for seed in range(30):
+            rng = random.Random(seed)
+            org = activity_org(rng)
+            events = logged_activity(rng, org)
+            assert index_credit(org, events) == reference_last_used(org, events)
+            for e in events:
+                if e.kind is not EventKind.API_CALL or e.verdict is not Verdict.ALLOW:
+                    continue
+                decision = authorize(org, AccessRequest(user=e.user, account=e.account,
+                                                        action=e.action, resource=e.resource))
+                matched = {(t.side, t.effect) for t in decision.trace if t.matched}
+                if decision.verdict is Verdict.ALLOW or ("identity", Effect.ALLOW) not in matched:
+                    continue
+                resource = org.resources_by_arn.get(e.resource)
+                if ("resource", Effect.DENY) in matched and ("identity", Effect.DENY) not in matched:
+                    denied["resource-side Deny"] += 1
+                elif (resource is not None and resource.owner_account != e.account
+                      and matched == {("identity", Effect.ALLOW)}):
+                    denied["cross-account, no grant"] += 1
+        assert denied["resource-side Deny"] > 0 and denied["cross-account, no grant"] > 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("user", "ghost"), ("account", "999999999999"),
+        ("action", "s3:Get*"), ("resource", "arn:aws:s3:::bkt-*"),
+    ])
+    def test_bad_call_raises_the_reference_error(self, field, value):
+        for seed in range(10):
+            rng = random.Random(seed)
+            org = activity_org(rng)
+            events = logged_activity(rng, org)
+            at = rng.choice([i for i, e in enumerate(events) if e.kind is EventKind.API_CALL])
+            # the event checks refuse a non-concrete action or arn, so the bad
+            # event is built as an unchecked tuple
+            fields = events[at]._asdict() | {field: value, "verdict": Verdict.ALLOW}
+            events[at] = tuple.__new__(AuditEvent, tuple(fields.values()))
+            expected = reference_last_used(org, events)
+            assert expected[0] is UsageError and expected[1].startswith(f"event {at}: ")
+            assert index_credit(org, events) == expected
 
 
 class TestClassReplay:
@@ -615,3 +724,44 @@ def test_usage_imports_no_decision_rule():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported & {"resolve_permission_set_ids", "shares_covering", "condition_holds"} == set()
+
+
+class _Calls(ast.NodeVisitor):
+    """Each call of one of ``names``, as a plain name or an attribute, with
+    the innermost function holding it."""
+
+    def __init__(self, names):
+        self.names, self.where, self.found = names, [None], []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in self.names:
+            self.found.append((self.where[-1], name))
+        self.generic_visit(node)
+
+
+def test_one_walk_of_the_identity_statements():
+    """``engine._identity`` alone walks the identity statements that reach a
+    principal; the usage index reads the identity trace, not a decision, and
+    replay still decides through the ``authorize`` bound in ``usage``."""
+    walks = {}
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":  # the independent reference walks on its own
+            continue
+        calls = _Calls({"resolve_permission_set_ids", "permission_set"})
+        calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+        if calls.found:
+            walks[path.name] = calls.found
+    assert walks == {"engine.py": [("_identity", "resolve_permission_set_ids"),
+                                   ("_identity", "permission_set")]}
+    tree = ast.parse(Path(usage.__file__).read_text(encoding="utf-8"))
+    index_fn = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "build_usage_index")
+    assert any(isinstance(node, ast.Name) and node.id == "authorize" and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(tree))
+    assert not any(isinstance(node, ast.Name) and node.id == "authorize" for node in ast.walk(index_fn))
