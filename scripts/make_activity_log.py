@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from iamsim import AccessRequest, AuditEvent, EventKind, Verdict, load_scenario, simulate
 from iamsim.audit import archive_from_events, write_archive
 from iamsim.engine import SIMULATION_EPOCH
+from iamsim.org import grant_keys
 
 ACTIONS = [
     "s3:GetObject", "s3:PutObject", "s3:ListBucket", "s3:DeleteObject",
@@ -38,15 +39,12 @@ EXTRA_RESOURCES = [
 
 
 def reachable_principals(org):
-    pairs = set()
-    for user in org.users:
-        member_of = set(user.groups)
-        for a in org.assignments:
-            if a.subject_kind == "user" and a.subject == user.id:
-                pairs.add((user.id, a.account))
-            elif a.subject_kind == "group" and a.subject in member_of:
-                pairs.add((user.id, a.account))
-    return sorted(pairs)
+    """Every (user, account) pair that some assignment grants, sorted."""
+    index = org.permission_set_ids_by_subject
+    return sorted(
+        (user.id, account.id) for user in org.users for account in org.accounts
+        if any(key in index for key in grant_keys(user, account.id))
+    )
 
 
 def main() -> int:

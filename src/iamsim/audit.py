@@ -41,7 +41,6 @@ it was read.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import operator
@@ -107,9 +106,6 @@ def format_timestamp(when: datetime) -> str:
         t.year, t.month, t.day, t.hour, t.minute, t.second,
     )
 
-
-# events repeat a small set of actions, so each distinct one is split once
-_split_concrete_action = functools.lru_cache(maxsize=4096)(split_action)
 
 _new_tuple = tuple.__new__
 
@@ -179,7 +175,7 @@ def _kind_rules(kind: EventKind, user: str, account: str, action: str, resource:
         if not action or not resource:
             raise EventError("ApiCall events need a non-empty action and resource")
         try:
-            _split_concrete_action(action)
+            split_action(action)
         except ValueError as exc:
             raise EventError(str(exc)) from exc
         if "*" in resource:
@@ -382,8 +378,12 @@ class EventStream:
                     if problem:
                         raise LogLineError(problem)
                     try:
-                        row = _row_from_obj(json.loads(line))
-                    except (json.JSONDecodeError, RecursionError, EventError) as exc:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # also too deep, or a too-long int
+                        raise LogLineError(f"{path}:{lineno}: {exc}") from exc
+                    try:
+                        row = _row_from_obj(obj)
+                    except EventError as exc:
                         raise LogLineError(f"{path}:{lineno}: {exc}") from exc
                 self._count += 1
                 yield row

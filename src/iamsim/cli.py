@@ -126,7 +126,7 @@ def _read_requests(path: str) -> list[AccessRequest]:
                 continue
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
+            except (ValueError, RecursionError) as exc:  # also too deep, or a too-long int
                 raise CliError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CliError(f"{path}:{lineno}: request must be an object")

@@ -552,7 +552,7 @@ def load_scenario(path) -> Organization:
     try:
         try:
             scenario = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
+        except (ValueError, RecursionError) as exc:  # also too deep, or a too-long int
             raise ScenarioError([f"{path}: malformed JSON: {exc}"]) from exc
         return build_org(scenario)
     finally:
@@ -645,6 +645,13 @@ def accounts_in_subtree(org: Organization, ou_path: OuPath) -> list[str]:
     return [acct.id for ou in node.walk() for acct in ou.accounts]
 
 
+def grant_keys(user: SsoUser, account_id: str) -> list[tuple[str, str, str]]:
+    """The :attr:`Organization.permission_set_ids_by_subject` keys of the
+    assignments that grant ``user`` access in ``account_id``: its own, and
+    each of its groups'. The one statement of who holds what."""
+    return [("user", user.id, account_id)] + [("group", g, account_id) for g in user.groups]
+
+
 def resolve_permission_set_ids(org: Organization, user_id: str, account_id: str) -> tuple[str, ...]:
     """Permission sets reaching (user, account) directly or via groups,
     deduplicated, ascending by id."""
@@ -652,10 +659,7 @@ def resolve_permission_set_ids(org: Organization, user_id: str, account_id: str)
     if not org.has_account(account_id):
         raise LookupError(f"unknown account: {account_id}")
     index = org.permission_set_ids_by_subject
-    ids = set(index.get(("user", user_id, account_id), ()))
-    for group in user.groups:
-        ids.update(index.get(("group", group, account_id), ()))
-    return tuple(sorted(ids))
+    return tuple(sorted({ps for key in grant_keys(user, account_id) for ps in index.get(key, ())}))
 
 
 def shares_covering(org: Organization, arn: str, account_id: str) -> bool:

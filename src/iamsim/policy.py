@@ -361,7 +361,7 @@ def parse_policy(text: str | dict, name: str = "policy") -> PolicyDocument:
     if isinstance(text, str):
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
+        except (ValueError, RecursionError) as exc:  # also too deep, or a too-long int
             raise PolicyParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PolicyParseError("policy document must be a JSON object")
@@ -413,6 +413,7 @@ def serialize_policy(doc: PolicyDocument, indent: int | None = None) -> str:
     return json.dumps(obj, indent=indent)
 
 
+@functools.lru_cache(maxsize=4096)  # requests and events repeat a small set of actions
 def split_action(action: str) -> tuple[str, str]:
     """Split a concrete ``service:Operation`` action, rejecting wildcards."""
     parts = action.split(":")

@@ -13,7 +13,10 @@ from __future__ import annotations
 import json
 import re
 
-_QUOTED_RE = re.compile(r'[\x00-\x1f"\\]')
+_QUOTED_RE = re.compile('[\x00-\x1f"\\\\\x85\u2028\u2029\ud800-\udfff]')
+# line breaks to str.splitlines() beyond the controls, and lone surrogates,
+# which cannot be written as UTF-8: JSON-quoted with ASCII escapes
+_ESCAPED_RE = re.compile('[\x85\u2028\u2029\ud800-\udfff]')
 
 
 def open_text(path):
@@ -37,5 +40,9 @@ def utf8_problem(text: str, path, first_line: int = 1) -> str | None:
 
 def shown(value: str) -> str:
     """An input value in a text report, JSON-quoted when it holds a control
-    character, ``"`` or ``\\``, so that one row stays one line."""
-    return json.dumps(value, ensure_ascii=False) if _QUOTED_RE.search(value) else value
+    character, ``"``, ``\\``, U+0085, U+2028, U+2029 or a lone surrogate, so
+    that one row stays one line and can be written as UTF-8. Only a value
+    holding one of the last four has its non-ASCII characters escaped."""
+    if not _QUOTED_RE.search(value):
+        return value
+    return json.dumps(value, ensure_ascii=_ESCAPED_RE.search(value) is not None)

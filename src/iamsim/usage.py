@@ -20,7 +20,7 @@ from typing import Hashable
 
 from .audit import EventKind, format_timestamp
 from .engine import AccessRequest, RequestError, authorize, identity_trace, resource_classes
-from .org import Assignment, Organization, PermissionSet
+from .org import Assignment, Organization, PermissionSet, grant_keys
 from .policy import (
     ActionLevel,
     ActionPattern,
@@ -208,26 +208,18 @@ def install_sole_permission_set(
 ) -> Organization:
     """What-if org where ``document`` is the user's only grant in ``account``.
 
-    Every assignment that reached the (user, account) pair, directly or via
-    a group, is dropped, so every other member of such a group loses that
+    Every assignment :func:`iamsim.org.grant_keys` names for the (user,
+    account) pair is dropped, so every other member of such a group loses that
     permission set in ``account`` too: the org is fit for deciding this
     principal's requests only. A fresh permission set holding the document,
     and a user-level assignment of it, are appended after the parent's
     permission sets and remaining assignments, which keep the parent's order.
     """
-    member_of = set(org.user(user).groups)
+    keys = set(grant_keys(org.user(user), account))  # an assignment's first three fields
     ps_id = "generated-replay"
     while ps_id in org.permission_sets_by_id:
         ps_id += "-x"
-
-    def reaches(a: Assignment) -> bool:
-        if a.account != account:
-            return False
-        if a.subject_kind == "user":
-            return a.subject == user
-        return a.subject in member_of
-
-    assignments = tuple(a for a in org.assignments if not reaches(a)) + (
+    assignments = tuple(a for a in org.assignments if a[:3] not in keys) + (
         Assignment("user", user, account, ps_id),)
     permission_sets = org.permission_sets + (PermissionSet(id=ps_id, policies=(document,)),)
     return dataclasses.replace(org, assignments=assignments, permission_sets=permission_sets)

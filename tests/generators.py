@@ -174,6 +174,7 @@ def random_scenario(
     deny_rate: float = 0.2,
     condition_rate: float = 0.25,
     account_principals_only: bool = False,
+    max_groups_per_user: int = 2,
 ) -> dict:
     accounts = [str(100000000001 + i) for i in range(n_accounts)]
     users = [f"user{i:02d}" for i in range(n_users)]
@@ -204,7 +205,7 @@ def random_scenario(
         ]
         permission_sets.append({"id": f"ps{i:02d}", "policies": policies})
 
-    memberships = {u: sorted(rng.sample(groups, k=rng.randint(0, min(2, n_groups))))
+    memberships = {u: sorted(rng.sample(groups, k=rng.randint(0, min(max_groups_per_user, n_groups))))
                    for u in users} if groups else {u: [] for u in users}
 
     triples = set()

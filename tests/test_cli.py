@@ -484,12 +484,12 @@ class TestScenarioIdsInText:
     PS = "bucket-s-reader\nFORGED never"
     POLICY = "bucket-s-read\nFORGED policy"
 
-    def _scenario(self, sharing_scenario_path, tmp_path):
+    def _scenario(self, sharing_scenario_path, tmp_path, ps=PS):
         scenario = json.loads(sharing_scenario_path.read_text(encoding="utf-8"))
-        scenario["permission_sets"][0]["id"] = self.PS
+        scenario["permission_sets"][0]["id"] = ps
         scenario["permission_sets"][0]["policies"][0]["name"] = self.POLICY
         for assignment in scenario["assignments"]:
-            assignment["permission_set"] = self.PS
+            assignment["permission_set"] = ps
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(scenario), encoding="utf-8")
         return path
@@ -508,6 +508,23 @@ class TestScenarioIdsInText:
                             r" +0 +never", rows[0])
         code, out, _ = run("--format", "json", *argv)  # JSON keeps the ids as they are
         assert (code, json.loads(out)[0]["permission_set"]) == (0, self.PS)
+
+    @pytest.mark.parametrize("ps", ["ps\u2028x", "ps\x85x", "ps\ud800x"])
+    def test_unused_report_escapes_line_separators_and_surrogates(self, run, sharing_scenario_path,
+                                                                  tmp_path, ps):
+        """str.splitlines() also breaks at U+0085, U+2028 and U+2029, and a
+        lone surrogate cannot be written as UTF-8: such an id is JSON-quoted
+        with ASCII escapes."""
+        scenario = self._scenario(sharing_scenario_path, tmp_path, ps)
+        log = tmp_path / "empty.jsonl"
+        log.write_text("", encoding="utf-8")
+        code, out, err = run("--scenario", str(scenario), "analyze", "unused", str(log),
+                             "--as-of", "2024-06-01T00:00:00Z", "--threshold-days", "90")
+        assert (code, err, out.count("\n")) == (0, "", 2)
+        header, *rows = out.splitlines()
+        assert header.startswith("PERMISSION-SET") and len(rows) == 1
+        assert re.fullmatch(rf"{re.escape(json.dumps(ps))} +{re.escape(json.dumps(self.POLICY))}"
+                            r" +0 +never", rows[0])
 
     def test_explain_prints_one_line_per_statement(self, run, sharing_scenario_path, tmp_path):
         scenario = self._scenario(sharing_scenario_path, tmp_path)
@@ -552,6 +569,46 @@ class TestDeepJson:
         path.write_text(self.DEEP_LINE, encoding="utf-8")
         code, out, err = run("audit", "query", str(path))
         self._assert_one_line(code, out, err, f"{path}:1: ")
+
+
+class TestIntegerTooLong:
+    """An integer literal longer than the decoder's digit limit is malformed
+    input, reported with each reader's usual prefix."""
+
+    HUGE = "1" * 5000
+
+    @pytest.fixture()
+    def fault(self):
+        with pytest.raises(ValueError) as decoder:
+            json.loads(self.HUGE)
+        return str(decoder.value)
+
+    def test_scenario(self, run, tmp_path, fault):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"organization": ' + self.HUGE + "}", encoding="utf-8")
+        code, out, err = run("--scenario", str(path), "validate")
+        assert (code, out, err) == (2, "", f"{path}: malformed JSON: {fault}\n")
+
+    def test_requests_file(self, run, sharing_scenario_path, tmp_path, fault):
+        path = tmp_path / "reqs.jsonl"
+        path.write_text('{"user": ' + self.HUGE + "}\n", encoding="utf-8")
+        code, out, err = run("--scenario", str(sharing_scenario_path), "simulate", str(path))
+        assert (code, out, err) == (2, "", f"{path}:1: malformed JSON: {fault}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["audit", "query"],
+        ["audit", "merge", "--out", "merged.jsonl"],
+        ["analyze", "unused", "--as-of", "2024-06-01T00:00:00Z", "--threshold-days", "90"],
+    ])
+    def test_log_file(self, run, sharing_scenario_path, tmp_path, monkeypatch, fault, command):
+        path = tmp_path / "log.jsonl"
+        path.write_text(_event_line("2024-01-01T00:00:00Z") + '{"time": ' + self.HUGE + "}\n",
+                        encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run("--scenario", str(sharing_scenario_path), *command[:2], str(path),
+                             *command[2:])
+        assert (code, out, err) == (2, "", f"{path}:2: {fault}\n")
+        assert not (tmp_path / "merged.jsonl").exists()
 
 
 class TestNotUtf8:
@@ -672,6 +729,22 @@ class TestAudit:
         code, out, _ = run("audit", "denied-summary", str(log), "--bucket", "1h")
         assert (code, out) == (0, f"2024-01-01T00:00:00Z user={shown} account=111111111111 "
                                   "denies=1\n")
+
+    @pytest.mark.parametrize("user", ["eve\ud800", "eve\u2028x", "eve\u2029x"])
+    def test_text_output_escapes_line_separators_and_surrogates(self, run, tmp_path, user):
+        """A log may spell a lone surrogate as a JSON escape, and
+        str.splitlines() breaks at U+2028: text output quotes such a value
+        with ASCII escapes, so it prints as one line of UTF-8."""
+        log = tmp_path / "log.jsonl"
+        log.write_text(_event_line("2024-01-01T00:00:00Z", user=user), encoding="utf-8")
+        shown = json.dumps(user)
+        code, out, err = run("audit", "query", str(log))
+        assert (code, err, out.splitlines()) == (0, "", [
+            f"2024-01-01T00:00:00Z ApiCall user={shown} account=111111111111 "
+            "action=s3:GetObject resource=arn:aws:s3:::bucket-s verdict=Deny source=111111111111"])
+        code, out, err = run("audit", "denied-summary", str(log), "--bucket", "1h")
+        assert (code, err, out.splitlines()) == (
+            0, "", [f"2024-01-01T00:00:00Z user={shown} account=111111111111 denies=1"])
 
     def test_bad_bucket_duration(self, run, tmp_path):
         a, _, _ = self._logs(tmp_path)

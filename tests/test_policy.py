@@ -73,6 +73,14 @@ class TestParse:
         with pytest.raises(PolicyParseError, match="malformed JSON"):
             parse_policy("[" * 100_000 + "]" * 100_000)
 
+    def test_integer_too_long_for_the_decoder_is_malformed(self):
+        text = '{"Version":"2012-10-17","Statement":[],"Id":' + "1" * 5000 + "}"
+        with pytest.raises(ValueError) as decoder:
+            json.loads(text)
+        with pytest.raises(PolicyParseError) as parsed:
+            parse_policy(text)
+        assert str(parsed.value) == f"malformed JSON: {decoder.value}"
+
     def test_unknown_top_level_field(self):
         with pytest.raises(PolicyParseError, match="Id"):
             parse_policy('{"Version":"2012-10-17","Statement":[],"Id":"x"}')
@@ -506,3 +514,11 @@ def test_split_action_rejects_wildcards_and_junk():
     for bad in ("s3:Get*", "s3", "a:b:c", "S3:GetObject", "s3:Get Object"):
         with pytest.raises(ValueError):
             split_action(bad)
+
+
+def test_cached_split_action_raises_on_every_call():
+    """The cache keeps results only, so a refused action is refused again."""
+    assert split_action("s3:GetObject") is split_action("s3:GetObject") == ("s3", "GetObject")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^not a concrete service:Operation action: 's3:Get\*'$"):
+            split_action("s3:Get*")

@@ -30,8 +30,8 @@ from iamsim import (
     replay_verify,
     unused_report,
 )
-from iamsim import engine, usage
-from iamsim.org import resolve_permission_set_ids
+from iamsim import engine, parse_policy, policy, usage
+from iamsim.org import Assignment, PermissionSet, resolve_permission_set_ids
 from iamsim.usage import (
     complement_sample,
     install_sole_permission_set,
@@ -724,6 +724,48 @@ def test_usage_imports_no_decision_rule():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported & {"resolve_permission_set_ids", "shares_covering", "condition_holds"} == set()
+
+
+def test_one_grant_rule_and_one_action_check():
+    """Only org.py states which assignments reach a principal (oracle.py, the
+    reference, keeps its own): usage.py and engine.py read no subject kind
+    and no user's groups. ``policy.split_action`` is the one cached
+    concrete-action check, and audit.py only calls it."""
+    package = Path(engine.__file__).parent
+    for name in ("usage.py", "engine.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        assert [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr in ("subject_kind", "groups")] == [], name
+    tree = ast.parse((package / "audit.py").read_text(encoding="utf-8"))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id == "split_action" and id(node) not in called] == []
+    assert policy.split_action.cache_info().maxsize == 4096
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sole_permission_set_drops_exactly_the_principals_grants(seed):
+    """Against a reference written here: an assignment reaches (user,
+    account) when it is in that account and names the user or one of the
+    user's groups. Users hold up to three of four groups, so groups are
+    shared and a user reaches an account through several of them."""
+    rng = random.Random(seed)
+    org = build_org(random_scenario(rng, n_accounts=3, n_users=6, n_groups=4,
+                                    max_groups_per_user=3))
+    user, account = rng.choice(org.users), rng.choice(org.accounts).id
+    document = parse_policy('{"Version":"2012-10-17","Statement":'
+                            '[{"Effect":"Allow","Action":"s3:GetObject","Resource":"*"}]}')
+
+    def reaches(a):
+        return a.account == account and (
+            (a.subject_kind == "user" and a.subject == user.id)
+            or (a.subject_kind == "group" and a.subject in user.groups))
+
+    what_if = install_sole_permission_set(org, user.id, account, document)
+    assert what_if.assignments == tuple(a for a in org.assignments if not reaches(a)) + (
+        Assignment("user", user.id, account, "generated-replay"),)
+    assert what_if.permission_sets == org.permission_sets + (
+        PermissionSet("generated-replay", (document,)),)
 
 
 class _Calls(ast.NodeVisitor):
